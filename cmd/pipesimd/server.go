@@ -173,10 +173,11 @@ type serverOptions struct {
 	jobsFault func(jobID, pointID string, attempt int) error
 }
 
-// warm builds the shared Livermore benchmark image (the expensive lazy
-// initialisation every benchmark run needs) and flips the readiness gate.
+// warm builds the process-wide Livermore benchmark image (the expensive
+// lazy initialisation every benchmark run needs; sweeps, jobs and /v1/run
+// all share it) and flips the readiness gate.
 func (s *server) warm() error {
-	if _, err := sweep.BenchmarkImage(); err != nil {
+	if _, _, err := pipesim.LivermoreProgram(); err != nil {
 		return err
 	}
 	s.ready.Store(true)
@@ -494,7 +495,8 @@ func decodeRunRequest(ctx context.Context, w http.ResponseWriter, r *http.Reques
 
 // buildRunConfig resolves the request's base configuration, overlay and
 // program — one "build" span covering everything between decode and the
-// run itself.
+// run itself. Built-in programs are process-wide shared images; only an
+// asm request builds a program here.
 func buildRunConfig(ctx context.Context, req runRequest) (pipesim.Config, *pipesim.Program, string, error) {
 	_, span := tracing.StartSpan(ctx, "build")
 	defer span.End()

@@ -13,6 +13,7 @@ import (
 
 	"pipesim"
 	"pipesim/internal/runcache"
+	"pipesim/internal/tracing"
 )
 
 // smallLoop terminates in a few hundred cycles — fast enough to run for
@@ -456,4 +457,20 @@ func keysLike(snap map[string]float64, prefix string) []string {
 		}
 	}
 	return out
+}
+
+// The default-program and kernel /v1/run requests resolve a shared image,
+// so the "build" stage allocates a handful of objects, not the ~100 a loop
+// rebuild or the ~1,000 a benchmark rebuild costs.
+func TestBuildRunConfigReusesBuiltinImages(t *testing.T) {
+	ctx, root := tracing.New(0).StartTrace(context.Background(), "POST /v1/run", "allocs", tracing.TraceContext{})
+	defer root.End()
+	for _, req := range []runRequest{{}, {TableII: "16-16"}, {Kernel: 7}} {
+		if _, _, kind, err := buildRunConfig(ctx, req); err != nil {
+			t.Fatalf("%+v: %s: %v", req, kind, err)
+		}
+		if n := testing.AllocsPerRun(20, func() { buildRunConfig(ctx, req) }); n > 32 {
+			t.Errorf("%+v: buildRunConfig made %.0f allocations, want <= 32", req, n)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pipesim/internal/isa"
 	"pipesim/internal/obs"
@@ -26,15 +27,20 @@ type LoopInfo struct {
 }
 
 // TableI returns the inner-loop sizes the generated program is calibrated
-// to (identical to the paper's Table I).
+// to (identical to the paper's Table I). Each call returns a fresh copy.
 func TableI() []LoopInfo {
+	return append([]LoopInfo(nil), loopInfo()...)
+}
+
+// loopInfo is the Table I listing, derived from the kernel definitions once.
+var loopInfo = sync.OnceValue(func() []LoopInfo {
 	defs := kernelDefs(0)
 	out := make([]LoopInfo, len(defs))
 	for i, d := range defs {
 		out[i] = LoopInfo{Index: d.index, Name: d.name, InnerBytes: d.tableIBytes, Iterations: d.iters}
 	}
 	return out
-}
+})
 
 // array declares one named region array.
 type array struct {

@@ -96,29 +96,24 @@ func (im *Image) Decoded() []isa.Inst {
 func (im *Image) Fingerprint() [sha256.Size]byte {
 	im.fpOnce.Do(func() {
 		h := sha256.New()
-		var buf [8]byte
-		writeU32 := func(v uint32) {
-			binary.LittleEndian.PutUint32(buf[:4], v)
-			h.Write(buf[:4])
+		// Each segment is hashed as its length (u64) then its words (u32),
+		// all little-endian, in one Write.
+		buf := make([]byte, 0, 8+4*max(len(im.Text), len(im.Data)))
+		writeSegment := func(ws []uint32) {
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(ws)))
+			for _, w := range ws {
+				buf = binary.LittleEndian.AppendUint32(buf, w)
+			}
+			h.Write(buf)
 		}
-		writeU64 := func(v uint64) {
-			binary.LittleEndian.PutUint64(buf[:8], v)
-			h.Write(buf[:8])
-		}
-		writeU64(uint64(len(im.Text)))
-		for _, w := range im.Text {
-			writeU32(w)
-		}
-		writeU64(uint64(len(im.Data)))
-		for _, w := range im.Data {
-			writeU32(w)
-		}
-		writeU32(im.Entry)
+		writeSegment(im.Text)
+		writeSegment(im.Data)
+		var native uint32
 		if im.Native {
-			writeU32(1)
-		} else {
-			writeU32(0)
+			native = 1
 		}
+		buf = binary.LittleEndian.AppendUint32(buf[:0], im.Entry)
+		h.Write(binary.LittleEndian.AppendUint32(buf, native))
 		h.Sum(im.fp[:0])
 	})
 	return im.fp

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
@@ -69,22 +68,9 @@ type Result struct {
 	Series      []Series
 }
 
-// benchImage caches the built benchmark (it is immutable across runs). The
-// once guard makes the cache safe under the parallel sweep runner.
-var (
-	benchOnce  sync.Once
-	benchImage *program.Image
-	benchErr   error
-)
-
-// BenchmarkImage returns the shared Livermore benchmark image. It is safe
-// for concurrent use: the image is built once and never mutated.
-func BenchmarkImage() (*program.Image, error) {
-	benchOnce.Do(func() {
-		benchImage, _, benchErr = kernels.Program()
-	})
-	return benchImage, benchErr
-}
+// BenchmarkImage returns the process-wide Livermore benchmark image, the
+// same one pipesim.LivermoreProgram serves (see kernels.Benchmark).
+func BenchmarkImage() (*program.Image, error) { return kernels.Benchmark() }
 
 // runPoint simulates one configuration point through the content-addressed
 // run cache: repeated points (figures share machines, daemons repeat

@@ -1,20 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// section (plus the ablations and extensions indexed in DESIGN.md). Each
-// benchmark runs the corresponding experiment end-to-end on the 150,575-
-// instruction Livermore workload and reports the simulated cycle counts as
-// custom metrics, so `go test -bench=. -benchmem` reproduces the paper's
-// series alongside the harness cost.
+// Overhead ladders: each benchmark runs the same Livermore workload with
+// one feature off and on, so the ratio between sub-benchmarks prices the
+// feature on this host. They are plain `go test -bench` runs and gate
+// nothing: exact work is gated by GOLDEN_work.json (TestWorkGolden), and
+// host time by scripts/ab.sh, which compares perfbench runs of two
+// revisions on one machine.
 package pipesim_test
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"pipesim"
 	"pipesim/internal/core"
-	"pipesim/internal/mem"
 	"pipesim/internal/runcache"
 	"pipesim/internal/sweep"
 	"pipesim/internal/tracing"
@@ -30,174 +28,12 @@ func uncached(b *testing.B) {
 	b.Cleanup(func() { runcache.Default.SetEnabled(true) })
 }
 
-// reportFigure runs a figure experiment b.N times and reports the simulated
-// cycles of every (series, cache-size) point as metrics named
-// "<series>_<size>B_cycles".
-func reportFigure(b *testing.B, id string) {
-	b.Helper()
-	uncached(b)
-	exp, ok := sweep.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var res *sweep.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = exp.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, s := range res.Series {
-		for _, p := range s.Points {
-			if !p.Valid {
-				continue
-			}
-			b.ReportMetric(float64(p.Cycles), fmt.Sprintf("%s_%dB_cycles", sanitize(s.Label), p.CacheBytes))
-		}
-	}
-}
-
-// BenchmarkTableI regenerates Table I (inner loop sizes of the generated
-// Livermore workload) and reports each loop's size in bytes.
-func BenchmarkTableI(b *testing.B) {
-	exp, _ := sweep.Lookup("table1")
-	var res *sweep.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = exp.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range res.Series[0].Points {
-		b.ReportMetric(float64(p.Cycles), fmt.Sprintf("loop%d_bytes", p.CacheBytes))
-	}
-}
-
-// BenchmarkFigure4a: cycles vs cache size, memory access time 1,
-// non-pipelined, 4-byte input bus (conventional + four PIPE configs).
-func BenchmarkFigure4a(b *testing.B) { reportFigure(b, "fig4a") }
-
-// BenchmarkFigure4b: access time 1, non-pipelined, 8-byte bus.
-func BenchmarkFigure4b(b *testing.B) { reportFigure(b, "fig4b") }
-
-// BenchmarkFigure5a: access time 6, non-pipelined, 4-byte bus.
-func BenchmarkFigure5a(b *testing.B) { reportFigure(b, "fig5a") }
-
-// BenchmarkFigure5b: access time 6, non-pipelined, 8-byte bus.
-func BenchmarkFigure5b(b *testing.B) { reportFigure(b, "fig5b") }
-
-// BenchmarkFigure6a: identical machine to Figure 5b (the paper re-plots it
-// at a different scale).
-func BenchmarkFigure6a(b *testing.B) { reportFigure(b, "fig6a") }
-
-// BenchmarkFigure6b: access time 6, 8-byte bus, pipelined memory.
-func BenchmarkFigure6b(b *testing.B) { reportFigure(b, "fig6b") }
-
-// BenchmarkAccessTime2 and 3 back the paper's "memory access times of 2 and
-// 3 clock cycles showed similar results" claim.
-func BenchmarkAccessTime2(b *testing.B) { reportFigure(b, "access2") }
-
-// BenchmarkAccessTime3: see BenchmarkAccessTime2.
-func BenchmarkAccessTime3(b *testing.B) { reportFigure(b, "access3") }
-
-// BenchmarkAblationTruePrefetch quantifies the paper's observation that the
-// original chip's guaranteed-execution fetch policy costs performance
-// relative to true off-chip prefetch.
-func BenchmarkAblationTruePrefetch(b *testing.B) { reportFigure(b, "noprefetch") }
-
-// BenchmarkAblationPriority compares instruction- versus data-priority
-// arbitration at the memory interface.
-func BenchmarkAblationPriority(b *testing.B) { reportFigure(b, "priority") }
-
-// BenchmarkExtensionTIB evaluates the Target Instruction Buffer front end
-// of paper §2.1.
-func BenchmarkExtensionTIB(b *testing.B) { reportFigure(b, "tib") }
-
-// BenchmarkAnalysisKnee isolates the knee mechanism: cycles per iteration
-// of a synthetic loop of growing size against a fixed 128-byte cache.
-func BenchmarkAnalysisKnee(b *testing.B) { reportFigure(b, "knee") }
-
-// BenchmarkAnalysisPerLoop attributes the benchmark's cycles to each of the
-// 14 Livermore loops per fetch strategy.
-func BenchmarkAnalysisPerLoop(b *testing.B) { reportFigure(b, "perloop") }
-
-// BenchmarkParamIQSize sweeps the paper's simulation parameters (7) and
-// (8): the IQ and IQB sizes at a fixed line size.
-func BenchmarkParamIQSize(b *testing.B) { reportFigure(b, "iqsize") }
-
-// BenchmarkParamSlots sweeps the PBR delay-slot count (paper §3.1.3).
-func BenchmarkParamSlots(b *testing.B) { reportFigure(b, "slots") }
-
-// BenchmarkExtensionDCache compares spending on-chip bytes on a bigger
-// instruction cache versus an instruction/data split (the paper's
-// concluding suggestion for mature-technology densities).
-func BenchmarkExtensionDCache(b *testing.B) { reportFigure(b, "dcache") }
-
-// BenchmarkExtensionFormatSim simulates paper parameter (1) dynamically:
-// the benchmark in the fixed versus the native 16/32-bit encoding.
-func BenchmarkExtensionFormatSim(b *testing.B) { reportFigure(b, "formatsim") }
-
-// BenchmarkExtensionFormat reports each inner loop's byte size in the
-// native 16/32-bit parcel format (paper simulation parameter 1), as
-// "loopN_bytes" metrics next to the fixed-format Table I sizes.
-func BenchmarkExtensionFormat(b *testing.B) {
-	exp, _ := sweep.Lookup("format")
-	var res *sweep.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = exp.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range res.Series {
-		for _, p := range s.Points {
-			b.ReportMetric(float64(p.Cycles), fmt.Sprintf("loop%d_%s", p.CacheBytes, sanitize(s.Label)))
-		}
-	}
-}
-
-func sanitize(label string) string {
-	out := make([]rune, 0, len(label))
-	for _, r := range label {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkSingleRun measures the simulator's own speed on one
-// representative configuration (PIPE 16-16, 128-byte cache, T=6, 8-byte
-// bus), reporting the simulated cycle count.
-func BenchmarkSingleRun(b *testing.B) {
-	uncached(b)
-	v := sweep.TableII[1]
-	mcfg := mem.Config{AccessTime: 6, BusWidthBytes: 8, InstrPriority: true, FPULatency: 4}
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		st, err := sweep.RunPipe(context.Background(), v, 128, mcfg, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = st.Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim_cycles")
-}
-
 // BenchmarkSkipAhead is the skip-vs-step A/B ladder behind DESIGN §16's
 // speedup table: the benchmark machine (16-16, T=6, 8-byte bus) at the
 // paper's cache sizes around the knee, with the event-driven skip-ahead on
 // (the default) and off. The ratio between the step and skip variants at
-// each size is the fold win; the absolute skip numbers track
-// BenchmarkSingleRun.
+// each size is the fold win. The 128-byte skip run is the machine of
+// GOLDEN_work.json's fig5b entry.
 func BenchmarkSkipAhead(b *testing.B) {
 	uncached(b)
 	prog, _, err := pipesim.LivermoreProgram()
@@ -285,8 +121,8 @@ func BenchmarkProbeOverhead(b *testing.B) {
 // the same Livermore run with recording disabled, at the default 256-event
 // depth, and at a deep 4096-event depth. The recorder skips the per-cycle
 // event kinds and writes a preallocated ring through an inlined call, so
-// "default" must stay within the <5% BenchmarkSingleRun acceptance bound —
-// that is what justifies leaving it on for every run.
+// "default" must stay within 5% of "off" — that is what justifies leaving
+// it on for every run.
 func BenchmarkFlightRecorderOverhead(b *testing.B) {
 	prog, _, err := pipesim.LivermoreProgram()
 	if err != nil {
@@ -312,10 +148,9 @@ func BenchmarkFlightRecorderOverhead(b *testing.B) {
 
 // BenchmarkMissClassOverhead prices the cache-introspection layer. "off"
 // is the default configuration — one nil check at each engine accounting
-// site — and rides BenchmarkSingleRun's CI gate, which holds it within 2%
-// of the pre-introspection baseline. "on" feeds every reference through
-// the two shadow models (infinite seen-set plus equal-size FA-LRU); that
-// cost is only paid when Config.CacheStats is requested. "on-64B" is the
+// site. "on" feeds every reference through the two shadow models (infinite
+// seen-set plus equal-size FA-LRU); that cost is only paid when
+// Config.CacheStats is requested. "on-64B" is the
 // worst case for the shadows: the thrashing small cache misses constantly,
 // so the classification switch and hot-PC map run at peak rate.
 func BenchmarkMissClassOverhead(b *testing.B) {
@@ -377,63 +212,10 @@ func BenchmarkRunHookOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepE2E runs a small multi-experiment sweep end-to-end through
-// the fault-isolated parallel runner and the JSON emitter — the exact path
-// cmd/pipesimd's /v1/sweep serves — so baselines track the serving path,
-// not just raw simulation speed.
-func BenchmarkSweepE2E(b *testing.B) {
-	uncached(b)
-	exps := make([]sweep.Experiment, 0, 3)
-	for _, id := range []string{"table1", "knee", "slots"} {
-		e, ok := sweep.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for i := 0; i < b.N; i++ {
-		sum := sweep.RunAll(exps, sweep.Options{})
-		if err := sum.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if err := sum.WriteJSON(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepE2EWarm is BenchmarkSweepE2E with the run cache on and
-// already populated: the steady state of a long-lived pipesimd serving
-// repeated sweep requests. Only the runner, renderer and cache lookups are
-// left to measure.
-func BenchmarkSweepE2EWarm(b *testing.B) {
-	exps := make([]sweep.Experiment, 0, 3)
-	for _, id := range []string{"table1", "knee", "slots"} {
-		e, ok := sweep.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	if err := sweep.RunAll(exps, sweep.Options{}).Err(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := sweep.RunAll(exps, sweep.Options{})
-		if err := sum.Err(); err != nil {
-			b.Fatal(err)
-		}
-		if err := sum.WriteJSON(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunCacheHit measures a memoized run: the key hash, the LRU
-// lookup and the copy-out — everything but the simulation. The gap to
-// BenchmarkSingleRun (tens of milliseconds) is what the cache saves on
-// every repeated configuration.
+// lookup and the copy-out — everything but the simulation. The gap to a
+// simulated run (tens of milliseconds) is what the cache saves on every
+// repeated configuration.
 func BenchmarkRunCacheHit(b *testing.B) {
 	img, err := sweep.BenchmarkImage()
 	if err != nil {

@@ -389,6 +389,10 @@ func (s *Simulator) trackLoop(pc uint32) {
 // snapshot must not race with the run goroutine.
 func (s *Simulator) FlightEvents() []obs.Event { return s.flight.Events() }
 
+// FlightWrites reports how many events the flight recorder has written,
+// overwritten ones included (zero when recording is disabled).
+func (s *Simulator) FlightWrites() uint64 { return s.flight.Total() }
+
 // Image returns the program image the simulator actually runs — after any
 // native-format relayout — so callers can resolve symbols (for example
 // Livermore loop ranges) against the final address map.

@@ -308,6 +308,7 @@ type job struct {
 	retries   int                    // total retries spent
 	started   bool                   // this process fired JobStart for it
 	cancelled bool
+	ending    bool               // finalize claimed it; terminal once JobEnd returns
 	cancel    context.CancelFunc // non-nil while running
 
 	// The outcome log (see events.go): terminal point outcomes in index

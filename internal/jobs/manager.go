@@ -44,7 +44,9 @@ type Hooks struct {
 	// replay, is terminal without a JobStart). View.Started tells the
 	// two apart so gauge-style metrics stay paired with JobStart. JobEnd
 	// does not fire for a job interrupted by drain — that job is still
-	// live and will resume after restart.
+	// live and will resume after restart. The job's terminal manifest is
+	// already on disk when JobEnd runs, but Get and List report the job
+	// terminal only after JobEnd returns.
 	JobEnd func(v *View)
 	// Point fires once per point event with one of the outcomes "ok",
 	// "resumed" (served from checkpoint), "retry" or "failed".
@@ -737,21 +739,27 @@ func (m *Manager) runRound(jctx context.Context, j *job, ckpt *Checkpoint, log *
 // non-terminal when the manager is draining, so the next process recovers
 // and resumes it. Every terminal transition in the manager goes through
 // here, and the first caller wins: JobEnd fires exactly once per job.
+//
+// The terminal manifest is written before JobEnd runs, but the job turns
+// terminal in memory only after JobEnd returns, so a reader that sees a
+// finished job also sees everything JobEnd did (the daemon retains the
+// job's trace there). Meanwhile j.ending turns away a racing finalize.
 func (m *Manager) finalize(j *job, log *slog.Logger, fatal error) {
 	m.mu.Lock()
-	if j.man.State.Terminal() {
+	if j.ending || j.man.State.Terminal() {
 		// Already finalized (a queued-job Cancel racing the executor);
 		// the transition and its JobEnd fired elsewhere.
 		m.mu.Unlock()
 		return
 	}
 	j.cancel = nil
+	var end State
 	switch {
 	case fatal != nil:
 		j.man.Error = fatal.Error()
-		m.setStateLocked(j, StateFailed)
+		end = StateFailed
 	case j.cancelled:
-		m.setStateLocked(j, StateCancelled)
+		end = StateCancelled
 	case m.ctx.Err() != nil:
 		// Drain interrupt: keep the manifest non-terminal (running) so
 		// recovery resumes it. Completed points are already checkpointed.
@@ -764,16 +772,22 @@ func (m *Manager) finalize(j *job, log *slog.Logger, fatal error) {
 		return
 	case len(j.man.FailedPoints) > 0:
 		j.man.Error = fmt.Sprintf("%d of %d points failed", len(j.man.FailedPoints), j.man.TotalPoints)
-		m.setStateLocked(j, StateFailed)
+		end = StateFailed
 	default:
-		m.setStateLocked(j, StateDone)
+		end = StateDone
 	}
+	live := j.man.State
+	m.setStateLocked(j, end)
 	v := j.view(false)
-	ev := jobEventLocked(j)
+	j.man.State, j.ending = live, true
 	m.mu.Unlock()
 	if h := m.opt.Hooks.JobEnd; h != nil {
 		h(v)
 	}
+	m.mu.Lock()
+	j.man.State = end
+	ev := jobEventLocked(j)
+	m.mu.Unlock()
 	m.publish(KindJobEnd, v.ID, ev)
 	log.Info("job finished", "state", v.State, "completed", v.CompletedPoints,
 		"failed", len(v.FailedPoints), "retries", v.RetriesUsed, "resumed", v.ResumedPoints)

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -459,6 +460,77 @@ func TestHooksPairing(t *testing.T) {
 	}
 	if c := counts[queued.ID]; c.starts != 0 || c.ends != 1 {
 		t.Errorf("queued-cancelled job fired %d starts / %d ends, want 0/1", c.starts, c.ends)
+	}
+}
+
+// TestTerminalVisibleOnlyAfterJobEnd blocks JobEnd and polls the job
+// meanwhile: the terminal manifest is already durable, but no reader may
+// see the job terminal until JobEnd has returned. The daemon retains the
+// job's trace in JobEnd, so a poller that sees "done" must find it.
+func TestTerminalVisibleOnlyAfterJobEnd(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var returned atomic.Bool
+	m := newTestManager(t, Options{Hooks: Hooks{
+		JobEnd: func(v *View) {
+			close(entered)
+			<-release
+			returned.Store(true)
+		},
+	}})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the manager's drain
+	v, err := m.Submit(Spec{Grid: &GridSpec{Variants: []string{"conv"}, CacheSizes: []int{128}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		got, err := m.Get(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := m.List()
+		if returned.Load() {
+			return
+		}
+		if got.State.Terminal() {
+			t.Fatalf("Get reported %s before JobEnd returned", got.State)
+		}
+		if st := list[len(list)-1].State; st.Terminal() {
+			t.Fatalf("List reported %s before JobEnd returned", st)
+		}
+	}
+	deadline := time.After(60 * time.Second)
+	for waiting := true; waiting; {
+		select {
+		case <-entered:
+			waiting = false
+		case <-deadline:
+			t.Fatal("JobEnd never fired")
+		default:
+			check()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		check()
+		time.Sleep(time.Millisecond)
+	}
+	raw, err := os.ReadFile(m.manifestPath(v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.State != StateDone {
+		t.Errorf("manifest on disk is %s while JobEnd runs, want done", man.State)
+	}
+	unblock()
+	if fin := waitTerminal(t, m, v.ID); fin.State != StateDone {
+		t.Errorf("job finished %s, want done", fin.State)
 	}
 }
 

@@ -16,8 +16,8 @@ package obs
 // memory accepts, retirements). The two per-cycle-rate kinds — KindCycle
 // and KindQueueDepth, together ~70% of the stream — are not recorded:
 // they carry no fault context the retained kinds don't, and skipping them
-// keeps the always-on overhead under the 5% BenchmarkSingleRun bound
-// (measured ~3%, see BenchmarkFlightRecorderOverhead).
+// keeps the always-on overhead under 5% of a run (measured ~3%, see
+// BenchmarkFlightRecorderOverhead).
 
 import (
 	"fmt"

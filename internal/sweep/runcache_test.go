@@ -50,8 +50,8 @@ func TestFig5bFig6aIdenticalSeries(t *testing.T) {
 }
 
 // TestGoldenCyclesMatchSeed pins the simulated cycle counts of the paper's
-// central figure to the values recorded in BENCH_seed.json before any
-// performance work. Optimizations may make the simulator faster, never
+// central figure to the values the seed's benchmark baseline recorded
+// (commit b1a4cc1) before any performance work. Optimizations may make the simulator faster, never
 // different: these numbers are the bit-identical contract every hot-loop
 // change and every cache hit must honor.
 func TestGoldenCyclesMatchSeed(t *testing.T) {
@@ -60,7 +60,7 @@ func TestGoldenCyclesMatchSeed(t *testing.T) {
 	}
 	r := fig(t, "fig5b")
 	golden := map[string]map[int]uint64{
-		// BENCH_seed.json, BenchmarkFigure5b metrics.
+		// The seed baseline's BenchmarkFigure5b metrics.
 		"16-16": {16: 775093, 32: 775093, 64: 706309, 128: 646861, 256: 576816, 512: 552595},
 		"conv":  {16: 949810, 32: 949810, 64: 830017, 128: 725701, 256: 603558, 512: 561634},
 		"8-8":   {16: 919434, 32: 919434, 64: 777732, 128: 709953, 256: 595289, 512: 559373},

@@ -241,9 +241,9 @@ func RunAll(exps []Experiment, opt Options) *Summary {
 }
 
 // BucketTotals is cycle attribution with stable lower_snake JSON names,
-// shared by the sweep metrics file (Summary.WriteJSON), the benchmark
-// baselines (scripts/bench.sh) and the daemon's attribution counters —
-// one schema across every serving-facing surface (see EXPERIMENTS.md).
+// shared by the sweep metrics file (Summary.WriteJSON) and the daemon's
+// attribution counters — one schema across every serving-facing surface
+// (see EXPERIMENTS.md).
 // The fields mirror stats.CycleBucket and sum to the attributed cycles.
 type BucketTotals struct {
 	Issue        uint64 `json:"issue"`

@@ -130,8 +130,8 @@ func RunConv(ctx context.Context, cacheBytes int, mcfg mem.Config) (*stats.Sim, 
 // runPipeIntro is RunPipe with cache introspection enabled: the figure
 // experiments run their points introspected so sweep summaries can report
 // the 3C miss-class breakdown. Kept separate from RunPipe — introspection
-// keys differently in the run cache, and the benchmark baselines
-// (BenchmarkSingleRun) measure the uninstrumented path.
+// keys differently in the run cache, and the simulator benchmarks
+// (perfbench's sim-stepped) measure the uninstrumented path.
 func runPipeIntro(ctx context.Context, v PipeVariant, cacheBytes int, mcfg mem.Config, truePrefetch bool) (*stats.Sim, error) {
 	img, err := BenchmarkImage()
 	if err != nil {

@@ -121,7 +121,7 @@ func TestSharedProgramConcurrentRunsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the benchmark on several machines")
 	}
-	golden := fig5aGolden(t)
+	golden := figureGolden(t, "fig5a")
 	runcache.Default.Reset()
 	t.Cleanup(runcache.Default.Reset)
 	prog, _, err := pipesim.LivermoreProgram()
@@ -139,16 +139,7 @@ func TestSharedProgramConcurrentRunsMatchGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden catalog has no fig5a %s/%d", m.variant, m.size)
 		}
-		cfg := pipesim.DefaultConfig()
-		if m.variant == "conv" {
-			cfg.Strategy = pipesim.StrategyConventional
-			cfg.LineBytes = sweep.ConvLineBytes
-		} else if cfg, err = pipesim.TableIIConfig(m.variant); err != nil {
-			t.Fatal(err)
-		}
-		cfg.CacheBytes = m.size
-		cfg.MemAccessTime = 6
-		cfg.BusWidthBytes = 4
+		cfg := figureConfig(t, m.variant, m.size, 6, 4)
 		for r := 0; r < 2; r++ {
 			wg.Add(1)
 			go func() {
@@ -167,9 +158,30 @@ func TestSharedProgramConcurrentRunsMatchGolden(t *testing.T) {
 	wg.Wait()
 }
 
-// fig5aGolden reads the Figure 5a cycles from GOLDEN_catalog.json, indexed
-// by series label and cache size.
-func fig5aGolden(t *testing.T) map[string]map[int]uint64 {
+// figureConfig is the machine of one figure point: the conventional
+// design or a Table II variant, at a cache size, memory access time and
+// input-bus width.
+func figureConfig(t *testing.T, variant string, cacheBytes, access, bus int) pipesim.Config {
+	t.Helper()
+	cfg := pipesim.DefaultConfig()
+	if variant == "conv" {
+		cfg.Strategy = pipesim.StrategyConventional
+		cfg.LineBytes = sweep.ConvLineBytes
+	} else {
+		var err error
+		if cfg, err = pipesim.TableIIConfig(variant); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.CacheBytes = cacheBytes
+	cfg.MemAccessTime = access
+	cfg.BusWidthBytes = bus
+	return cfg
+}
+
+// figureGolden reads one experiment's cycles from GOLDEN_catalog.json,
+// indexed by series label and x (the cache size for the figures).
+func figureGolden(t *testing.T, exp string) map[string]map[int]uint64 {
 	t.Helper()
 	raw, err := os.ReadFile("GOLDEN_catalog.json")
 	if err != nil {
@@ -192,7 +204,7 @@ func fig5aGolden(t *testing.T) map[string]map[int]uint64 {
 	}
 	out := map[string]map[int]uint64{}
 	for _, o := range cat.Outcomes {
-		if o.ID != "fig5a" {
+		if o.ID != exp {
 			continue
 		}
 		for _, s := range o.Series {

@@ -8,6 +8,7 @@ package pipesim_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -117,33 +118,44 @@ func BenchmarkProbeOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkFlightRecorderOverhead prices the always-on post-mortem ring:
-// the same Livermore run with recording disabled, at the default 256-event
-// depth, and at a deep 4096-event depth. The recorder skips the per-cycle
-// event kinds and writes a preallocated ring through an inlined call, so
-// "default" must stay within 5% of "off" — that is what justifies leaving
-// it on for every run.
-func BenchmarkFlightRecorderOverhead(b *testing.B) {
-	prog, _, err := pipesim.LivermoreProgram()
+// BenchmarkPostMortemReplay prices the failure path. A run keeps no flight
+// recorder: when it deadlocks, the simulator replays it up to the failing
+// cycle with the recorder attached. "off" disables post-mortems (negative
+// depth), "on" is the default. The deadlock is a read of R7 with no load
+// outstanding, caught by the watchdog after WatchdogCycles idle cycles;
+// the failed run and its replay both fold that idle span, so the window
+// size should barely move either.
+func BenchmarkPostMortemReplay(b *testing.B) {
+	prog, err := pipesim.Assemble(`
+        li   r1, 1
+        add  r2, r7, r1
+        halt
+`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, depth int) {
-		cfg := pipesim.DefaultConfig()
-		cfg.FlightRecorderDepth = depth
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			res, err := pipesim.Run(cfg, prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles = res.Cycles
+	for _, window := range []uint64{2_000, 1_000_000} {
+		for _, pm := range []struct {
+			name  string
+			depth int
+		}{{"off", -1}, {"on", 0}} {
+			b.Run(fmt.Sprintf("watchdog-%d/%s", window, pm.name), func(b *testing.B) {
+				cfg := pipesim.DefaultConfig()
+				cfg.WatchdogCycles = window
+				cfg.FlightRecorderDepth = pm.depth
+				for i := 0; i < b.N; i++ {
+					_, err := pipesim.Run(cfg, prog)
+					var dl *pipesim.DeadlockError
+					if !errors.As(err, &dl) {
+						b.Fatalf("Run err = %v, want *DeadlockError", err)
+					}
+					if (pm.depth < 0) != (len(dl.Recent) == 0) {
+						b.Fatalf("depth %d: post-mortem holds %d events", pm.depth, len(dl.Recent))
+					}
+				}
+			})
 		}
-		b.ReportMetric(float64(cycles), "sim_cycles")
 	}
-	b.Run("off", func(b *testing.B) { run(b, -1) })
-	b.Run("default", func(b *testing.B) { run(b, 0) })
-	b.Run("deep-4096", func(b *testing.B) { run(b, 4096) })
 }
 
 // BenchmarkMissClassOverhead prices the cache-introspection layer. "off"

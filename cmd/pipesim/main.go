@@ -13,7 +13,8 @@
 //	pipesim -perloop               # per-Livermore-loop cycle/miss/stall table
 //	pipesim -timeline trace.json   # Chrome-trace timeline (chrome://tracing, Perfetto)
 //	pipesim -flightrec-dump fr.json  # flight-recorder tail as Chrome-trace JSON,
-//	                                 # written even when the run fails (post-mortem)
+//	                                 # written even when the run fails (post-mortem);
+//	                                 # after a successful run it re-simulates the run
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "print the result as JSON instead of text")
 		perloop   = flag.Bool("perloop", false, "collect and print per-Livermore-loop statistics (benchmark workloads only)")
 		timeline  = flag.String("timeline", "", "write a Chrome-trace timeline of the run to this file")
-		frDump    = flag.String("flightrec-dump", "", "write the flight recorder's recent-event tail to this file as Chrome-trace JSON (written on failure too)")
+		frDump    = flag.String("flightrec-dump", "", "write the flight recorder's recent-event tail to this file as Chrome-trace JSON (written on failure too; after a successful run, the run is simulated again to rebuild it)")
 		frDepth   = flag.Int("flightrec-depth", 0, "flight recorder depth in events (0 = default 256, negative disables)")
 		noSkip    = flag.Bool("no-skip-ahead", false, "step every cycle instead of event-driven skip-ahead (results are bit-identical; for A/B timing)")
 		cstats    = flag.Bool("cachestats", false, "classify every cache miss (compulsory/capacity/conflict) and print the per-set heatmap and hot miss PCs")

@@ -358,8 +358,8 @@ func httpStatus(kind string) int {
 
 // flightEvents extracts a failed run's flight-recorder snapshot, or nil
 // for error kinds that carry none (a timed-out run's goroutine is
-// abandoned mid-flight, so its recorder is still being written — only
-// errors from a completed run end carry a stable tail).
+// abandoned mid-run and never reaches the replay that builds the tail —
+// only deadlocks and machine checks carry one).
 func flightEvents(err error) []pipesim.ProbeEvent {
 	var dl *pipesim.DeadlockError
 	var mc *pipesim.MachineCheckError

@@ -92,12 +92,13 @@ type Config struct {
 	// would fire. Zero selects DefaultWatchdogCycles.
 	WatchdogCycles uint64
 
-	// FlightRecDepth sizes the always-on flight recorder: the ring of
-	// recent probe events snapshotted into MachineCheckError and
-	// DeadlockError for post-mortem diagnosis. Zero selects
-	// obs.DefaultFlightRecDepth (on by default); a negative value disables
-	// recording. Purely observational — it never changes simulation
-	// results, so runcache deliberately excludes it from its keys.
+	// FlightRecDepth sizes the post-mortem flight recorder: the ring of
+	// recent probe events placed in MachineCheckError and DeadlockError.
+	// No run records it as it goes; a failed run is replayed to rebuild it
+	// (see PostMortem). Zero selects obs.DefaultFlightRecDepth; a negative
+	// value disables post-mortems, retirement tail included. Purely
+	// observational — it never changes simulation results, so runcache
+	// deliberately excludes it from its keys.
 	FlightRecDepth int
 
 	// CacheIntrospect enables the cache-introspection layer: 3C miss
@@ -170,8 +171,7 @@ type Simulator struct {
 	st  stats.Sim
 	ran bool
 
-	cycle   uint64      // current cycle, for machine-check context
-	ring    *trace.Ring // tail of the retirement stream, for diagnostics
+	cycle   uint64 // current cycle, for machine-check context
 	userRec trace.Recorder
 
 	probe    obs.Probe       // stamped user probe, or nil
@@ -179,10 +179,14 @@ type Simulator struct {
 	curLoop  int             // loop number the retirement stream is inside (0 = outside)
 	loopSeen bool            // a retirement has initialized curLoop
 
-	flight *obs.FlightRecorder // always-on post-mortem ring, nil when disabled
-	intr   *cache.Introspector // cache introspection, nil when disabled
+	intr *cache.Introspector // cache introspection, nil when disabled
 
 	skipped uint64 // cycles elided by skip-ahead (diagnostics/tests only)
+
+	replay     bool          // this run rebuilds another's post-mortem: never replay it
+	tailsBuilt bool          // recent and retired hold the post-mortem
+	recent     []obs.Event   // flight-recorder tail, oldest first
+	retired    []trace.Event // retirement tail, oldest first
 }
 
 // New builds a simulator for the image.
@@ -214,6 +218,28 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.CacheIntrospect && cfg.Fetch != FetchTIB {
+		topN := cfg.CacheTopPCs
+		if topN == 0 {
+			topN = DefaultCacheTopPCs
+		}
+		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN)
+		// The engine feeds it demand references and the array its fills
+		// and evictions. Evictions surface as KindCacheEvict probe events;
+		// the closure reads the probe field at call time, so it is safe to
+		// build before a probe is attached.
+		s.intr.OnEvict = func(set int, lineAddr uint32, dead bool) {
+			if s.probe == nil {
+				return
+			}
+			var val uint64
+			if dead {
+				val = 1
+			}
+			s.probe.Event(obs.Event{Kind: obs.KindCacheEvict, Addr: lineAddr, Arg: uint32(set), Value: val})
+		}
+		arr.SetIntrospector(s.intr)
+	}
 	switch cfg.Fetch {
 	case FetchPIPE:
 		s.eng, err = fetch.NewPipe(fetch.PipeConfig{
@@ -223,12 +249,14 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 			IQBBytes:     cfg.IQBBytes,
 			TruePrefetch: cfg.TruePrefetch,
 			DeepPrefetch: cfg.DeepPrefetch,
+			Introspector: s.intr,
 		}, arr, img, s.sys, img.Entry)
 	case FetchConventional:
 		s.eng, err = fetch.NewConv(fetch.ConvConfig{
-			CacheBytes: cfg.CacheBytes,
-			LineBytes:  cfg.LineBytes,
-			ChunkBytes: cfg.Mem.BusWidthBytes,
+			CacheBytes:   cfg.CacheBytes,
+			LineBytes:    cfg.LineBytes,
+			ChunkBytes:   cfg.Mem.BusWidthBytes,
+			Introspector: s.intr,
 		}, arr, img, s.sys, img.Entry)
 	case FetchTIB:
 		s.eng, err = fetch.NewTIB(fetch.TIBConfig{
@@ -241,30 +269,6 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CacheIntrospect && cfg.Fetch != FetchTIB {
-		topN := cfg.CacheTopPCs
-		if topN == 0 {
-			topN = DefaultCacheTopPCs
-		}
-		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN)
-		// Evictions surface as KindCacheEvict probe/flight events. The
-		// closure reads the recorder and probe fields at call time, so it
-		// is safe to build before either is attached.
-		s.intr.OnEvict = func(set int, lineAddr uint32, dead bool) {
-			var val uint64
-			if dead {
-				val = 1
-			}
-			if s.flight != nil {
-				s.flight.Record(obs.KindCacheEvict, lineAddr, uint32(set), val)
-			}
-			if s.probe != nil {
-				s.probe.Event(obs.Event{Kind: obs.KindCacheEvict, Addr: lineAddr, Arg: uint32(set), Value: val})
-			}
-		}
-		arr.SetIntrospector(s.intr)
-		s.eng.SetIntrospector(s.intr)
-	}
 	s.cpu, err = cpu.New(cfg.CPU, s.eng, s.sys, &s.st.CPU)
 	if err != nil {
 		return nil, err
@@ -275,30 +279,13 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		// index the fixed-format table).
 		s.cpu.SetDecodeTable(img.Decoded())
 	}
-	s.ring, err = trace.NewRing(RetireTraceDepth)
-	if err != nil {
-		return nil, err
-	}
-	// The flight recorder is on by default (FlightRecDepth < 0 disables):
-	// the fetch engine and memory system write their fault-relevant events
-	// into it directly, and retirements are recorded below.
-	if cfg.FlightRecDepth >= 0 {
-		s.flight = obs.NewFlightRecorder(cfg.FlightRecDepth, &s.cycle)
-		s.sys.SetFlightRecorder(s.flight)
-		s.eng.SetFlightRecorder(s.flight)
-	}
-	// The diagnostic ring and flight recorder always observe retirements.
-	// The CPU writes them directly — they are the common configuration,
-	// and an OnRetire closure per retirement is measurable — while a user
-	// tracer or probe installs the full hook lazily at Run.
-	s.cpu.SetRetireSinks(s.ring, s.flight)
 	return s, nil
 }
 
 // installRetireHook attaches the OnRetire closure serving the optional
 // observers (user tracer, probe with loop tracking). Called at the top of
-// Run, once both are finally known; left nil when neither is attached so
-// retirement stays on the direct-sink fast path.
+// Run, once both are finally known; left nil when neither is attached, so
+// an unobserved retirement costs one nil check.
 func (s *Simulator) installRetireHook() {
 	if s.userRec == nil && s.probe == nil {
 		s.cpu.OnRetire = nil
@@ -384,14 +371,59 @@ func (s *Simulator) trackLoop(pc uint32) {
 	}
 }
 
-// FlightEvents returns a snapshot of the flight recorder's retained events,
-// oldest first (nil when recording is disabled). Call after Run: the
-// snapshot must not race with the run goroutine.
-func (s *Simulator) FlightEvents() []obs.Event { return s.flight.Events() }
+// PostMortem returns the tails of the finished run, oldest first: the
+// flight-recorder events and the last RetireTraceDepth retirements. After a
+// machine check or deadlock they are the tails the error carries; after
+// any other end of the run they are rebuilt by replaying it once, which
+// costs one more simulation of the same length. Both are nil before Run and
+// when Config.FlightRecDepth is negative. Call after Run, from the
+// goroutine that ran it.
+func (s *Simulator) PostMortem() ([]obs.Event, []trace.Event) {
+	if s.ran && !s.tailsBuilt {
+		s.recent, s.retired = s.replayTails()
+		s.tailsBuilt = true
+	}
+	return s.recent, s.retired
+}
 
-// FlightWrites reports how many events the flight recorder has written,
-// overwritten ones included (zero when recording is disabled).
-func (s *Simulator) FlightWrites() uint64 { return s.flight.Total() }
+// FlightEvents returns the flight-recorder half of PostMortem.
+func (s *Simulator) FlightEvents() []obs.Event {
+	events, _ := s.PostMortem()
+	return events
+}
+
+// replayTails rebuilds the post-mortem by deterministic replay: a fresh
+// simulator over the same configuration and image (after any native
+// relayout) runs from cycle 1 to the end of the cycle this run stopped in,
+// with a flight recorder attached as its probe and a retirement ring as
+// its tracer. The simulator is deterministic, so the tails are exactly the
+// ones those observers would hold had they watched this run. A fault
+// raised by this run's own observers (retire tracer or probe) is not
+// reproduced, since the replay does not attach them; its replay runs to
+// the end of the faulting cycle instead.
+func (s *Simulator) replayTails() ([]obs.Event, []trace.Event) {
+	if s.replay || s.cfg.FlightRecDepth < 0 || s.cycle == 0 {
+		return nil, nil
+	}
+	cfg := s.cfg
+	cfg.MaxCycles = s.cycle // the replay stops in the same cycle
+	r, err := New(cfg, s.img)
+	if err != nil {
+		return nil, nil // unreachable: this configuration built s
+	}
+	r.replay = true
+	rec := obs.NewFlightRecorder(cfg.FlightRecDepth)
+	ring, err := trace.NewRing(RetireTraceDepth)
+	if err != nil {
+		return nil, nil // unreachable: the depth is a positive constant
+	}
+	r.SetProbe(rec)
+	r.SetRetireTracer(ring)
+	// The replay ends in cycle s.cycle however this run did: completion,
+	// the same failure, or the MaxCycles cap. Its own result is not needed.
+	_, _ = r.Run()
+	return rec.Events(), ring.Events()
+}
 
 // Image returns the program image the simulator actually runs — after any
 // native-format relayout — so callers can resolve symbols (for example
@@ -429,8 +461,10 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 	)
 	// Skip-ahead turns itself off while a probe is attached: collectors
 	// consuming the per-cycle event stream (KindCycle, queue depths) need
-	// every cycle replayed exactly, not folded.
-	skip := !s.cfg.NoSkipAhead && s.probe == nil
+	// every cycle replayed exactly, not folded. A post-mortem replay keeps
+	// it: its only probe is the flight recorder, which drops exactly those
+	// kinds, so the replay folds the cycles the failed run folded.
+	skip := !s.cfg.NoSkipAhead && (s.probe == nil || s.replay)
 	for cycle := uint64(1); ; cycle++ {
 		s.cycle = cycle
 		s.sys.BeginCycle(cycle)

@@ -14,8 +14,8 @@ import (
 	"pipesim/internal/trace"
 )
 
-// RetireTraceDepth is how many recently retired instructions the simulator
-// keeps for machine-check and deadlock diagnostics.
+// RetireTraceDepth is how many recently retired instructions a
+// machine-check or deadlock post-mortem holds.
 const RetireTraceDepth = 32
 
 // DefaultWatchdogCycles is the forward-progress watchdog window used when
@@ -143,8 +143,9 @@ func (e *DeadlockError) Detail() string {
 }
 
 // machineCheck wraps a recovered panic in a MachineCheckError with the
-// run's current context.
+// run's current context and its replayed post-mortem.
 func (s *Simulator) machineCheck(p any, stack []byte) *MachineCheckError {
+	recent, retired := s.PostMortem()
 	e := &MachineCheckError{
 		PanicValue:   p,
 		Stack:        string(stack),
@@ -152,8 +153,8 @@ func (s *Simulator) machineCheck(p any, stack []byte) *MachineCheckError {
 		Instructions: s.st.CPU.Instructions,
 		Strategy:     s.cfg.Fetch.String(),
 		Config:       s.cfg,
-		Trace:        s.ring.Events(),
-		Recent:       s.flight.Events(),
+		Trace:        retired,
+		Recent:       recent,
 	}
 	if n := len(e.Trace); n > 0 {
 		e.PC = e.Trace[n-1].PC
@@ -161,8 +162,10 @@ func (s *Simulator) machineCheck(p any, stack []byte) *MachineCheckError {
 	return e
 }
 
-// deadlock builds the watchdog's diagnosis of a stalled run.
+// deadlock builds the watchdog's diagnosis of a stalled run and its
+// replayed post-mortem.
 func (s *Simulator) deadlock(cycle, lastProgress, window uint64) *DeadlockError {
+	recent, retired := s.PostMortem()
 	return &DeadlockError{
 		Cycle:        cycle,
 		LastProgress: lastProgress,
@@ -172,7 +175,7 @@ func (s *Simulator) deadlock(cycle, lastProgress, window uint64) *DeadlockError 
 		FetchState:   s.eng.DebugState(),
 		CPUState:     s.cpu.DebugState(),
 		MemState:     s.sys.DebugState(),
-		Trace:        s.ring.Events(),
-		Recent:       s.flight.Events(),
+		Trace:        retired,
+		Recent:       recent,
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"pipesim/internal/program"
 	"pipesim/internal/queue"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // Config sizes the architectural queues and the optional on-chip data
@@ -178,14 +177,6 @@ type CPU struct {
 	// tracing facility). It must not mutate simulator state.
 	OnRetire func(cycle uint64, pc uint32, in isa.Inst)
 
-	// retireRing and flight receive every retirement directly when set.
-	// They cover the standard observability configuration (diagnostic
-	// trace ring + flight recorder) without paying for an OnRetire
-	// closure, which the core installs only when a user tracer or probe
-	// needs the full event.
-	retireRing *trace.Ring
-	flight     *obs.FlightRecorder
-
 	// probe, when set, receives typed observability events; the per-cycle
 	// attribution event (obs.KindCycle) is emitted exactly once per Tick.
 	// lastDepth tracks the last-emitted occupancy of each architectural
@@ -276,14 +267,6 @@ func (c *CPU) SetProbe(p obs.Probe) {
 	for i := range c.lastDepth {
 		c.lastDepth[i] = -1
 	}
-}
-
-// SetRetireSinks attaches the direct retirement observers: the diagnostic
-// trace ring and the flight recorder (either may be nil). They fire before
-// OnRetire for every retired instruction.
-func (c *CPU) SetRetireSinks(ring *trace.Ring, fr *obs.FlightRecorder) {
-	c.retireRing = ring
-	c.flight = fr
 }
 
 // Halted reports whether the HALT instruction has retired.
@@ -562,12 +545,6 @@ func (c *CPU) retire() {
 	}
 	in := c.ex2.in
 	c.st.Instructions++
-	if c.retireRing != nil {
-		c.retireRing.Record(trace.Event{Cycle: c.cycle, PC: c.ex2.pc, Inst: in})
-	}
-	if c.flight != nil {
-		c.flight.Record(obs.KindRetire, c.ex2.pc, 0, 0)
-	}
 	if c.OnRetire != nil {
 		c.OnRetire(c.cycle, c.ex2.pc, in)
 	}

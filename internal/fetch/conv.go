@@ -20,6 +20,10 @@ type ConvConfig struct {
 	// transaction returns one input-bus transfer, so the natural chunk is
 	// the bus width (a 4-byte bus returns exactly one instruction).
 	ChunkBytes int
+	// Introspector, when set, receives every demand reference at the
+	// engine's hit/miss accounting sites, so the shadow models' per-class
+	// totals sum to CacheMisses.
+	Introspector *cache.Introspector
 }
 
 // Validate reports configuration errors.
@@ -67,23 +71,14 @@ type Conv struct {
 	capAddr  uint32
 	capValid bool
 
-	probe  obs.Probe
-	flight *obs.FlightRecorder
-	intr   *cache.Introspector
+	probe obs.Probe
+	intr  *cache.Introspector // ConvConfig.Introspector
 }
 
 // SetProbe attaches an observability probe. Call before the first Tick.
 func (c *Conv) SetProbe(p obs.Probe) { c.probe = p }
 
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (c *Conv) SetFlightRecorder(r *obs.FlightRecorder) { c.flight = r }
-
-// SetIntrospector attaches the cache-introspection shadow models (nil
-// detaches). The engine feeds it every demand reference at its own hit/miss
-// accounting sites, so the shadows' per-class counts sum to CacheMisses.
-func (c *Conv) SetIntrospector(in *cache.Introspector) { c.intr = in }
-
-// emit sends an event to the flight recorder and, when attached, the probe.
+// emit sends an event to the probe, when attached.
 func (c *Conv) emit(kind obs.Kind, addr uint32) {
 	c.emitArg(kind, addr, 0)
 }
@@ -91,9 +86,6 @@ func (c *Conv) emit(kind obs.Kind, addr uint32) {
 // emitArg is emit with a kind-specific Arg payload (the 3C miss class on
 // classified KindCacheMiss events).
 func (c *Conv) emitArg(kind obs.Kind, addr, arg uint32) {
-	if c.flight != nil {
-		c.flight.Record(kind, addr, arg, 0)
-	}
 	if c.probe != nil {
 		c.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
 	}
@@ -113,7 +105,7 @@ func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	if cacheArr.SubBlockBytes() != wantSub {
 		return nil, fmt.Errorf("fetch: conventional cache needs %d-byte sub-blocks for this image format", wantSub)
 	}
-	c := &Conv{cfg: cfg, cache: cacheArr, img: img, sys: sys}
+	c := &Conv{cfg: cfg, cache: cacheArr, img: img, sys: sys, intr: cfg.Introspector}
 	c.str.reset(pc)
 	c.str.varlen = img.Native
 	c.onChunkWord = func(addr uint32, _ uint32, _ uint64) {

@@ -30,6 +30,10 @@ type PipeConfig struct {
 	// larger than one line holds multiple lines of lookahead. The paper's
 	// design refills only an empty IQB; this is a beyond-paper extension.
 	DeepPrefetch bool
+	// Introspector, when set, receives every demand reference at the
+	// engine's hit/miss accounting sites, so the shadow models' per-class
+	// totals sum to CacheMisses.
+	Introspector *cache.Introspector
 }
 
 // Validate reports configuration errors.
@@ -109,12 +113,7 @@ type Pipe struct {
 	lastIQ  int
 	lastIQB int
 
-	// flight is the always-on post-mortem ring (concrete type, see
-	// Engine.SetFlightRecorder).
-	flight *obs.FlightRecorder
-
-	// intr, when set, is the cache-introspection shadow model fed at the
-	// engine's hit/miss accounting sites (see Engine.SetIntrospector).
+	// intr is PipeConfig.Introspector.
 	intr *cache.Introspector
 }
 
@@ -124,15 +123,7 @@ func (p *Pipe) SetProbe(pr obs.Probe) {
 	p.lastIQ, p.lastIQB = -1, -1
 }
 
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (p *Pipe) SetFlightRecorder(r *obs.FlightRecorder) { p.flight = r }
-
-// SetIntrospector attaches the cache-introspection shadow models (nil
-// detaches). References ride the same accounting sites as the CacheHits /
-// CacheMisses counters, so the shadows' per-class totals sum to CacheMisses.
-func (p *Pipe) SetIntrospector(in *cache.Introspector) { p.intr = in }
-
-// emit sends an event to the flight recorder and, when attached, the probe.
+// emit sends an event to the probe, when attached.
 func (p *Pipe) emit(kind obs.Kind, addr uint32) {
 	p.emitArg(kind, addr, 0)
 }
@@ -140,9 +131,6 @@ func (p *Pipe) emit(kind obs.Kind, addr uint32) {
 // emitArg is emit with a kind-specific Arg payload (the 3C miss class on
 // classified KindCacheMiss events).
 func (p *Pipe) emitArg(kind obs.Kind, addr, arg uint32) {
-	if p.flight != nil {
-		p.flight.Record(kind, addr, arg, 0)
-	}
 	if p.probe != nil {
 		p.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
 	}
@@ -168,6 +156,7 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	}
 	p := &Pipe{
 		cfg:   cfg,
+		intr:  cfg.Introspector,
 		cache: cacheArr,
 		img:   img,
 		sys:   sys,
@@ -396,7 +385,7 @@ func (p *Pipe) advanceFetch(next uint32) {
 	p.fetchAddr = next
 	for len(p.redirects) > 0 && p.fetchAddr >= p.redirects[0].from {
 		p.fetchAddr = p.redirects[0].to
-		p.redirects = p.redirects[1:]
+		p.redirects = p.redirects[:copy(p.redirects, p.redirects[1:])] // keep the capacity
 	}
 }
 

@@ -18,7 +18,6 @@ package fetch
 import (
 	"fmt"
 
-	"pipesim/internal/cache"
 	"pipesim/internal/isa"
 	"pipesim/internal/obs"
 	"pipesim/internal/stats"
@@ -62,20 +61,6 @@ type Engine interface {
 	// blocked prefetches, branch flushes, queue occupancy). Call before
 	// the first Tick; a nil probe disables emission.
 	SetProbe(p obs.Probe)
-	// SetFlightRecorder attaches the always-on post-mortem event ring (a
-	// concrete type, not a Probe: the recorder must stay cheap enough to
-	// leave enabled on every run). Call before the first Tick; nil
-	// detaches. Engines record their cache, fetch/prefetch and flush
-	// events; queue-occupancy samples are deliberately excluded (too
-	// frequent to be worth their ring slots).
-	SetFlightRecorder(r *obs.FlightRecorder)
-	// SetIntrospector attaches the cache-introspection shadow models (a
-	// concrete type, like the flight recorder: the classification call
-	// rides the engine's own hit/miss accounting sites, so the per-class
-	// counts sum exactly to the Stats CacheMisses counter). Call before the
-	// first Tick; nil detaches. Engines without a cache array (TIB) ignore
-	// the call.
-	SetIntrospector(in *cache.Introspector)
 	// DebugState renders the engine's occupancy and cursor state in one
 	// line, for deadlock and machine-check diagnostics.
 	DebugState() string
@@ -195,7 +180,9 @@ func (s *streamer) settle() (redirected bool) {
 			s.blocked = true // window exhausted, outcome unknown
 			break
 		}
-		s.pending = s.pending[1:]
+		// Copy down rather than re-slice from the front, which would
+		// shrink the capacity and make a later append reallocate.
+		s.pending = s.pending[:copy(s.pending, s.pending[1:])]
 		if p.taken {
 			s.nextPC = p.target
 			redirected = true

@@ -3,7 +3,6 @@ package fetch
 import (
 	"fmt"
 
-	"pipesim/internal/cache"
 	"pipesim/internal/isa"
 	"pipesim/internal/mem"
 	"pipesim/internal/obs"
@@ -78,7 +77,6 @@ type TIB struct {
 
 	probe   obs.Probe
 	lastBuf int
-	flight  *obs.FlightRecorder
 }
 
 // SetProbe attaches an observability probe. Call before the first Tick.
@@ -87,18 +85,8 @@ func (t *TIB) SetProbe(p obs.Probe) {
 	t.lastBuf = -1
 }
 
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-func (t *TIB) SetFlightRecorder(r *obs.FlightRecorder) { t.flight = r }
-
-// SetIntrospector is a no-op: the TIB front end has no shared cache array,
-// so the 3C shadow models do not apply to it.
-func (t *TIB) SetIntrospector(*cache.Introspector) {}
-
-// emit sends an event to the flight recorder and, when attached, the probe.
+// emit sends an event to the probe, when attached.
 func (t *TIB) emit(kind obs.Kind, addr uint32) {
-	if t.flight != nil {
-		t.flight.Record(kind, addr, 0, 0)
-	}
 	if t.probe != nil {
 		t.probe.Event(obs.Event{Kind: kind, Addr: addr})
 	}

@@ -169,12 +169,20 @@ type fpuOp struct {
 	seq     uint64
 }
 
+// RAM paging: the 1 MiB address space in 256 pages of 4 KiB.
+const (
+	pageWords = 1024
+	ramPages  = (program.AddrMask + 1) / 4 / pageWords
+)
+
+// zeroPage backs every page no write has reached, so a read needs no
+// branch; WriteWord replaces it before storing, so it stays all zeros.
+var zeroPage [pageWords]uint32
+
 // System is the complete off-chip world: memory, busses, arbiter and FPU.
 type System struct {
 	cfg Config
 	st  *stats.Mem
-
-	ram []uint32 // the full 20-bit word-indexed address space
 
 	cycle          uint64
 	queues         [numClasses]*queue.Queue[*Request]
@@ -209,18 +217,16 @@ type System struct {
 	// probe, when set, observes bus transfers and request acceptances.
 	probe obs.Probe
 
-	// flight, when set, keeps bus transfers and request acceptances in the
-	// always-on post-mortem ring (concrete type: the Probe interface
-	// dispatch is too slow for an always-on path).
-	flight *obs.FlightRecorder
+	// ram is the 20-bit address space in 4 KiB pages, each allocated on
+	// its first write and zeroPage until then. The Livermore image fills
+	// 17 pages, so a machine costs ~70 KiB instead of the full 1 MiB,
+	// which keeps garbage collection out of sweeps that build hundreds of
+	// machines.
+	ram [ramPages]*[pageWords]uint32
 }
 
 // SetProbe attaches an observability probe. Call before the first cycle.
 func (s *System) SetProbe(p obs.Probe) { s.probe = p }
-
-// SetFlightRecorder attaches the post-mortem flight recorder (nil detaches).
-// Call before the first cycle.
-func (s *System) SetFlightRecorder(r *obs.FlightRecorder) { s.flight = r }
 
 // New builds a memory system preloaded with the program image's text and
 // data segments.
@@ -231,13 +237,15 @@ func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
 	if st == nil {
 		st = &stats.Mem{}
 	}
-	s := &System{cfg: cfg, st: st, ram: make([]uint32, (program.AddrMask+1)/4),
-		nextInflightAt: NoEvent, nextFPUAt: NoEvent}
+	s := &System{cfg: cfg, st: st, nextInflightAt: NoEvent, nextFPUAt: NoEvent}
+	for i := range s.ram {
+		s.ram[i] = &zeroPage
+	}
 	for i, w := range img.RAMWords() {
-		s.ram[(program.TextBase/4)+uint32(i)] = w
+		s.WriteWord(program.TextBase+4*uint32(i), w)
 	}
 	for i, w := range img.Data {
-		s.ram[(program.DataBase/4)+uint32(i)] = w
+		s.WriteWord(program.DataBase+4*uint32(i), w)
 	}
 	for k := range s.queues {
 		q, err := queue.New[*Request](64)
@@ -310,10 +318,21 @@ func (s *System) DebugState() string {
 
 // ReadWord returns the current memory word at a 4-byte-aligned address.
 // Used by tests and examples to inspect results after a run.
-func (s *System) ReadWord(addr uint32) uint32 { return s.ram[(addr&program.AddrMask)/4] }
+func (s *System) ReadWord(addr uint32) uint32 {
+	a := (addr & program.AddrMask) / 4
+	return s.ram[a/pageWords][a%pageWords]
+}
 
 // WriteWord stores directly into memory, bypassing timing. Used by tests.
-func (s *System) WriteWord(addr uint32, v uint32) { s.ram[(addr&program.AddrMask)/4] = v }
+func (s *System) WriteWord(addr uint32, v uint32) {
+	a := (addr & program.AddrMask) / 4
+	p := s.ram[a/pageWords]
+	if p == &zeroPage {
+		p = new([pageWords]uint32)
+		s.ram[a/pageWords] = p
+	}
+	p[a%pageWords] = v
+}
 
 // Submit enqueues a request for arbitration. The returned handle can cancel
 // it while it is still queued. Submit panics on malformed requests, which
@@ -444,9 +463,6 @@ func (s *System) deliver() {
 					s.st.WordsDelivered++
 				}
 				if f.delivered > wordsBefore {
-					if s.flight != nil {
-						s.flight.Record(obs.KindBusBusy, f.req.Addr, 0, uint64(f.delivered-wordsBefore))
-					}
 					if s.probe != nil {
 						s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: f.req.Addr,
 							Value: uint64(f.delivered - wordsBefore)})
@@ -558,9 +574,6 @@ func (s *System) accept() {
 func (s *System) start(r *Request) {
 	r.accepted = true
 	s.st.Accepted[r.Kind]++
-	if s.flight != nil {
-		s.flight.Record(obs.KindMemAccept, r.Addr, uint32(r.Kind), 0)
-	}
 	if s.probe != nil {
 		s.probe.Event(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
 	}

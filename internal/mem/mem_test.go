@@ -223,6 +223,24 @@ func TestStoreAppliesAndCompletes(t *testing.T) {
 	}
 }
 
+// TestUnwrittenMemoryReadsZero covers the paged RAM: an address no image
+// segment or store has touched reads as zero until its first write, and
+// addresses wrap at the 20-bit mask.
+func TestUnwrittenMemoryReadsZero(t *testing.T) {
+	s, _ := newSys(t, Config{AccessTime: 1, BusWidthBytes: 4, FPULatency: 4})
+	const addr = program.DataBase + 0x20000
+	if got := s.ReadWord(addr); got != 0 {
+		t.Fatalf("unwritten word = %#x, want 0", got)
+	}
+	s.WriteWord(addr+program.AddrMask+1, 0xBEEF) // wraps onto addr
+	if got := s.ReadWord(addr); got != 0xBEEF {
+		t.Errorf("written word = %#x, want 0xbeef", got)
+	}
+	if got := s.ReadWord(addr + 4); got != 0 {
+		t.Errorf("neighbour of a written word = %#x, want 0", got)
+	}
+}
+
 func TestLoadSnapshotsAtAcceptance(t *testing.T) {
 	// A load accepted before a (timing-bypassed) later write must return
 	// the old value even though it delivers after the write.

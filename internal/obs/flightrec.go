@@ -1,23 +1,17 @@
 package obs
 
-// This file is the flight recorder: an always-on, fixed-size ring of the
-// most recent probe events, kept by every simulation regardless of whether
-// a probe is attached. When a run dies — machine check, watchdog deadlock —
-// the ring is snapshotted into the error so the post-mortem shows what the
-// machine was doing in the cycles leading up to the fault, not just the
-// retirement tail.
+// This file is the flight recorder: a fixed-size ring of the most recent
+// probe events, the post-mortem attached to a MachineCheckError or
+// DeadlockError so it shows what the machine was doing in the cycles
+// leading up to the fault, not just the retirement tail.
 //
-// The recorder deliberately does NOT ride the Probe interface: the
-// interface dispatch alone costs ~45% of an unobserved run (see
-// BenchmarkProbeOverhead/null-probe), far outside the always-on budget.
-// Instead instrumented components hold a concrete *FlightRecorder and call
-// the inlinable Record at their medium- and low-volume event sites
-// (cache hits/misses, fetch/prefetch brackets, flushes, bus transfers,
-// memory accepts, retirements). The two per-cycle-rate kinds — KindCycle
-// and KindQueueDepth, together ~70% of the stream — are not recorded:
-// they carry no fault context the retained kinds don't, and skipping them
-// keeps the always-on overhead under 5% of a run (measured ~3%, see
-// BenchmarkFlightRecorderOverhead).
+// A run does not keep one as it simulates. The simulator is deterministic,
+// so the core rebuilds the tail only when it is asked for: after a failure
+// it re-simulates the run up to the failing cycle with a recorder attached
+// as an ordinary Probe, and reads the ring there. Successful runs, which are
+// almost all runs, pay nothing for post-mortems. The two per-cycle-rate
+// kinds — KindCycle and KindQueueDepth, together ~70% of the stream — are
+// not retained: they carry no fault context the retained kinds don't.
 
 import (
 	"fmt"
@@ -32,23 +26,19 @@ import (
 // irrelevant next to the simulated memory image.
 const DefaultFlightRecDepth = 256
 
-// FlightRecorder is a bounded ring of recent events. It is single-writer
-// (the simulation goroutine) and is preallocated at construction: Record
-// performs no allocation and no interface dispatch. A nil *FlightRecorder
-// is a valid "disabled" recorder for the read-side methods; writers guard
-// their Record calls with a nil check instead, keeping the hot path one
-// compare + one store.
+// FlightRecorder is a Probe keeping a bounded ring of recent events. Events
+// arrive stamped (attach it behind a Stamper). It is single-writer and is
+// preallocated at construction. A nil *FlightRecorder is a valid
+// "disabled" recorder for the read-side methods.
 type FlightRecorder struct {
-	clock *uint64 // the simulator's cycle counter, read at record time
-	buf   []Event // power-of-two ring
-	mask  uint64
-	n     uint64 // total events ever recorded
+	buf  []Event // power-of-two ring
+	mask uint64
+	n    uint64 // total events ever retained
 }
 
 // NewFlightRecorder returns a recorder of at least the requested depth
-// (rounded up to a power of two; depth <= 0 selects DefaultFlightRecDepth)
-// stamping each event with *clock.
-func NewFlightRecorder(depth int, clock *uint64) *FlightRecorder {
+// (rounded up to a power of two; depth <= 0 selects DefaultFlightRecDepth).
+func NewFlightRecorder(depth int) *FlightRecorder {
 	if depth <= 0 {
 		depth = DefaultFlightRecDepth
 	}
@@ -56,20 +46,22 @@ func NewFlightRecorder(depth int, clock *uint64) *FlightRecorder {
 	for d < depth {
 		d <<= 1
 	}
-	return &FlightRecorder{clock: clock, buf: make([]Event, d), mask: uint64(d - 1)}
+	return &FlightRecorder{buf: make([]Event, d), mask: uint64(d - 1)}
 }
 
-// Record appends one event, overwriting the oldest when the ring is full.
-// It is kept small enough for the inliner so the per-event cost at a call
-// site is one predictable branch plus one 32-byte store.
-func (r *FlightRecorder) Record(kind Kind, addr, arg uint32, value uint64) {
-	r.buf[r.n&r.mask] = Event{Kind: kind, Cycle: *r.clock, Addr: addr, Arg: arg, Value: value}
+// Event retains e, overwriting the oldest event when the ring is full.
+// KindCycle and KindQueueDepth events are dropped.
+func (r *FlightRecorder) Event(e Event) {
+	if e.Kind == KindCycle || e.Kind == KindQueueDepth {
+		return
+	}
+	r.buf[r.n&r.mask] = e
 	r.n++
 }
 
 // Events returns a copy of the retained events, oldest first. Safe on a nil
-// recorder (returns nil). Must not race with Record: call it only after the
-// run has stopped (error constructors do) or from the run goroutine.
+// recorder (returns nil). Must not race with Event: call it only after the
+// run has stopped.
 func (r *FlightRecorder) Events() []Event {
 	if r == nil || r.n == 0 {
 		return nil
@@ -86,7 +78,7 @@ func (r *FlightRecorder) Events() []Event {
 	return out
 }
 
-// Total returns how many events have ever been recorded (including
+// Total returns how many events have ever been retained (including
 // overwritten ones). Safe on a nil recorder.
 func (r *FlightRecorder) Total() uint64 {
 	if r == nil {

@@ -8,14 +8,12 @@ import (
 )
 
 func TestFlightRecorderRetainsMostRecent(t *testing.T) {
-	var clock uint64
-	r := NewFlightRecorder(4, &clock)
+	r := NewFlightRecorder(4)
 	if r.Depth() != 4 {
 		t.Fatalf("Depth = %d, want 4", r.Depth())
 	}
 	for i := 0; i < 10; i++ {
-		clock = uint64(i)
-		r.Record(KindRetire, uint32(i), 0, 0)
+		r.Event(Event{Kind: KindRetire, Cycle: uint64(i), Addr: uint32(i)})
 	}
 	if r.Total() != 10 {
 		t.Errorf("Total = %d, want 10", r.Total())
@@ -33,10 +31,11 @@ func TestFlightRecorderRetainsMostRecent(t *testing.T) {
 }
 
 func TestFlightRecorderPartialFill(t *testing.T) {
-	var clock uint64 = 7
-	r := NewFlightRecorder(8, &clock)
-	r.Record(KindCacheMiss, 0x40, 0, 0)
-	r.Record(KindCacheHit, 0x44, 0, 0)
+	clock := uint64(7)
+	r := NewFlightRecorder(8)
+	p := &Stamper{Clock: &clock, Target: r}
+	p.Event(Event{Kind: KindCacheMiss, Addr: 0x40})
+	p.Event(Event{Kind: KindCacheHit, Addr: 0x44})
 	ev := r.Events()
 	if len(ev) != 2 {
 		t.Fatalf("Events retained %d, want 2", len(ev))
@@ -49,12 +48,30 @@ func TestFlightRecorderPartialFill(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderDropsPerCycleKinds checks the two per-cycle-rate kinds
+// take no ring slots and do not count as retained.
+func TestFlightRecorderDropsPerCycleKinds(t *testing.T) {
+	r := NewFlightRecorder(4)
+	for kind := Kind(0); kind < numKinds; kind++ {
+		r.Event(Event{Kind: kind, Cycle: 1})
+		r.Event(Event{Kind: KindRetire, Cycle: 2})
+		r.Event(Event{Kind: kind, Cycle: 3})
+	}
+	if want := uint64(3*numKinds - 4); r.Total() != want {
+		t.Errorf("Total = %d, want %d", r.Total(), want)
+	}
+	for _, e := range r.Events() {
+		if e.Kind == KindCycle || e.Kind == KindQueueDepth {
+			t.Errorf("retained a per-cycle event: %v", e)
+		}
+	}
+}
+
 func TestFlightRecorderDepthRounding(t *testing.T) {
-	var clock uint64
-	if d := NewFlightRecorder(5, &clock).Depth(); d != 8 {
+	if d := NewFlightRecorder(5).Depth(); d != 8 {
 		t.Errorf("depth 5 rounded to %d, want 8", d)
 	}
-	if d := NewFlightRecorder(0, &clock).Depth(); d != DefaultFlightRecDepth {
+	if d := NewFlightRecorder(0).Depth(); d != DefaultFlightRecDepth {
 		t.Errorf("depth 0 = %d, want the default %d", d, DefaultFlightRecDepth)
 	}
 }

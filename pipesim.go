@@ -155,17 +155,18 @@ type Config struct {
 	// default (one million cycles) that no legitimate stall approaches.
 	WatchdogCycles uint64
 
-	// FlightRecorderDepth sizes the always-on flight recorder: a bounded
+	// FlightRecorderDepth sizes the post-mortem flight recorder: a bounded
 	// ring of recent probe events (cache activity, fetches, prefetches,
-	// flushes, bus transfers, memory accepts, retirements) that every run
-	// keeps for post-mortem diagnosis. On a machine check or deadlock the
-	// ring's tail is snapshotted into the error (MachineCheckError /
-	// DeadlockError .Recent, rendered by Detail); after any run it is
-	// readable via Simulation.RecentEvents. Zero selects the default depth
-	// (256 events); a negative value disables recording. The recorder is
-	// observational only — it never changes simulation results — and its
-	// always-on cost is ~3% of an unobserved run (see
-	// BenchmarkFlightRecorderOverhead).
+	// flushes, bus transfers, memory accepts, retirements). No run records
+	// it as it goes. On a machine check or deadlock the simulator replays
+	// the run deterministically up to the failing cycle with the ring
+	// attached, and puts its tail in the error (MachineCheckError /
+	// DeadlockError .Recent, rendered by Detail) with the retirement tail;
+	// after a successful run Simulation.RecentEvents replays the whole run
+	// for it. Zero selects the default depth (256 events); a negative value
+	// disables post-mortems. The recorder is observational only — it never
+	// changes simulation results — and a successful run pays nothing for
+	// it (see BenchmarkPostMortemReplay for the failure path).
 	FlightRecorderDepth int
 
 	// CacheStats enables the cache-introspection layer: every
@@ -885,10 +886,14 @@ func resolveHotPCs(res *Result, img *program.Image) {
 	}
 }
 
-// RecentEvents returns a snapshot of the flight recorder's retained events,
-// oldest first — the same tail a MachineCheckError or DeadlockError would
-// carry, available even after a successful run. Nil when the recorder was
-// disabled (Config.FlightRecorderDepth < 0). Call after Run.
+// RecentEvents returns the flight recorder's tail for the finished run,
+// oldest first. After a machine check or deadlock it is the tail the error
+// carries. After any other end of the run it re-simulates the run once to
+// rebuild the tail, so the first call costs one more simulation. Probes,
+// tracers and per-loop collection attached to this Simulation are not part
+// of the replay: a fault one of them raised is not reproduced, and the tail
+// then runs to the end of the faulting cycle. Nil before Run and when
+// Config.FlightRecorderDepth is negative.
 func (s *Simulation) RecentEvents() []ProbeEvent { return s.inner.FlightEvents() }
 
 // WriteFlightTrace renders a flight-recorder snapshot (RecentEvents, or the

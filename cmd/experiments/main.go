@@ -20,7 +20,7 @@
 //	experiments -timeout 2m        # per-experiment deadline
 //	experiments -progress          # log each experiment as it finishes
 //	experiments -metrics out.json  # write machine-readable sweep metrics
-//	experiments -resume sweep.ckpt # checkpoint the sweep; rerun only missing experiments
+//	experiments -store-dir runs/   # archive every simulation; a rerun re-simulates only what is missing
 //	experiments -log json          # JSON log records instead of text
 //	experiments -runcache=false    # disable simulation-result memoization
 //	experiments -version           # print build/VCS info and exit
@@ -33,8 +33,8 @@ import (
 	"os"
 	"time"
 
-	"pipesim/internal/jobs"
 	"pipesim/internal/runcache"
+	"pipesim/internal/runstore"
 	"pipesim/internal/sweep"
 	"pipesim/internal/version"
 )
@@ -49,13 +49,20 @@ func main() {
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-experiment deadline (0 = none)")
 		progress = flag.Bool("progress", false, "log each experiment's status and wall time as it finishes")
 		metrics  = flag.String("metrics", "", "write machine-readable sweep metrics (JSON) to this file")
-		resume   = flag.String("resume", "", "checkpoint file (JSONL): completed experiments are replayed from it, the rest run and append to it")
+		storeDir = flag.String("store-dir", "", "persistent run-archive directory: each simulation is archived as it finishes, and a rerun serves archived machines from disk (empty = disabled)")
 		logMode  = flag.String("log", "text", "log handler: text or json")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		useCache = flag.Bool("runcache", true, "memoize simulation results by (config, program) content hash")
 		showVer  = flag.Bool("version", false, "print module, version, VCS revision and dirty bit, then exit")
 	)
 	flag.Parse()
+	if *storeDir != "" && !*useCache {
+		// A disabled run cache bypasses its store tier too, so this pair
+		// would archive nothing.
+		fmt.Fprintln(os.Stderr, "experiments: -store-dir needs the run cache; drop -runcache=false")
+		flag.Usage()
+		os.Exit(2)
+	}
 	runcache.Default.SetEnabled(*useCache)
 
 	if *showVer {
@@ -85,21 +92,18 @@ func main() {
 		run = []sweep.Experiment{e}
 	}
 
-	// -resume: replay completed experiments from the checkpoint (keyed by
-	// content hash, so a stale checkpoint of a different benchmark image
-	// never satisfies a lookup) and run only the missing ones. The same
-	// file is appended to as the remaining experiments finish, so a sweep
-	// interrupted at any point picks up where it left off.
-	var replayed []sweep.Outcome
-	if *resume != "" {
-		var err error
-		replayed, run, err = splitResumed(*resume, run, log)
-		if err != nil {
-			log.Error("reading resume checkpoint", "path", *resume, "err", err)
+	// -store-dir: the run store becomes the run cache's disk tier, so
+	// every simulation is archived the moment it finishes and a rerun —
+	// after an interruption or a clean exit alike — serves those machines
+	// from disk. Runs that bypass the cache (perloop's traced machines)
+	// always re-simulate.
+	var store *runstore.Store
+	if *storeDir != "" {
+		if store, err = runstore.Open(*storeDir, runstore.Options{}); err != nil {
+			log.Error("opening run store", "path", *storeDir, "err", err)
 			os.Exit(1)
 		}
-		log.Info("resuming sweep from checkpoint", "path", *resume,
-			"replayed", len(replayed), "remaining", len(run))
+		runcache.Default.SetStore(store)
 	}
 
 	v := version.Get()
@@ -119,15 +123,6 @@ func main() {
 		}
 	}
 	sum := sweep.RunAll(run, opt)
-	if *resume != "" {
-		if err := appendResumed(*resume, sum, log); err != nil {
-			log.Error("appending to resume checkpoint", "path", *resume, "err", err)
-			os.Exit(1)
-		}
-		// Fold the replayed outcomes back in, checkpoint-first, so tables,
-		// metrics and the pass/fail summary cover the whole sweep.
-		sum.Outcomes = append(replayed, sum.Outcomes...)
-	}
 	if *useCache {
 		rc := runcache.Default.Stats()
 		sum.RunCache = &rc
@@ -158,6 +153,15 @@ func main() {
 	if sum.RunCache != nil {
 		finished = append(finished, "runcache_hits", sum.RunCache.Hits,
 			"runcache_misses", sum.RunCache.Misses, "runcache_entries", sum.RunCache.Size)
+	}
+	if store != nil {
+		sc := store.Counters()
+		finished = append(finished, "store_hits", sc.Hits, "store_writes", sc.Writes)
+		if sc.WriteErrors > 0 {
+			// The store counts failed writes instead of failing the run.
+			log.Warn("run store failed to archive some runs", "path", *storeDir,
+				"write_errors", sc.WriteErrors)
+		}
 	}
 	log.Info("sweep finished", finished...)
 	if sum.Err() != nil {
@@ -193,99 +197,4 @@ func writeMetrics(path string, sum *sweep.Summary) error {
 		return err
 	}
 	return f.Close()
-}
-
-// splitResumed reads the checkpoint and partitions the experiment list:
-// experiments whose content hash already has a replayable record come back
-// as synthesized outcomes, the rest still need to run. A missing file is
-// an empty checkpoint (first run); corrupt trailing records are discarded
-// with a warning by the reader.
-func splitResumed(path string, run []sweep.Experiment, log *slog.Logger) ([]sweep.Outcome, []sweep.Experiment, error) {
-	recs, err := jobs.ReadCheckpoint(path, log)
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := sweep.BenchmarkImage()
-	if err != nil {
-		return nil, nil, err
-	}
-	fp := img.Fingerprint()
-	byKey := make(map[string]jobs.PointResult, len(recs))
-	for _, r := range recs {
-		byKey[r.Key] = r
-	}
-	var replayed []sweep.Outcome
-	var remaining []sweep.Experiment
-	for _, e := range run {
-		r, ok := byKey[jobs.CatalogKey(e.ID, fp).String()]
-		if !ok || len(r.Series) == 0 {
-			remaining = append(remaining, e)
-			continue
-		}
-		res, err := sweep.ResultFromCompact(r.Series, e.ID, e.Title)
-		if err != nil {
-			log.Warn("checkpoint record not replayable, re-running experiment",
-				"experiment", e.ID, "err", err)
-			remaining = append(remaining, e)
-			continue
-		}
-		log.Info("experiment served from checkpoint", "experiment", e.ID)
-		replayed = append(replayed, sweep.Outcome{Experiment: e, Result: res})
-	}
-	return replayed, remaining, nil
-}
-
-// appendResumed durably records this run's successful outcomes so the next
-// -resume invocation skips them. Failed experiments are deliberately not
-// recorded — a resume retries them.
-func appendResumed(path string, sum *sweep.Summary, log *slog.Logger) error {
-	ok := 0
-	for _, o := range sum.Outcomes {
-		if o.Err == nil {
-			ok++
-		}
-	}
-	if ok == 0 {
-		return nil
-	}
-	img, err := sweep.BenchmarkImage()
-	if err != nil {
-		return err
-	}
-	fp := img.Fingerprint()
-	ck, err := jobs.OpenCheckpoint(path)
-	if err != nil {
-		return err
-	}
-	defer ck.Close()
-	for _, o := range sum.Outcomes {
-		if o.Err != nil || o.Result == nil {
-			continue
-		}
-		pr := jobs.PointResult{
-			Point:    "exp:" + o.Experiment.ID,
-			Key:      jobs.CatalogKey(o.Experiment.ID, fp).String(),
-			Valid:    true,
-			ElapsedS: o.Elapsed.Seconds(),
-			Attempts: 1,
-		}
-		for _, s := range o.Result.Series {
-			for _, p := range s.Points {
-				if p.Valid {
-					pr.Cycles += p.Cycles
-				}
-			}
-		}
-		if t, ok := sweep.ResultTotals(o.Result); ok {
-			pr.Attr = &t
-		}
-		if pr.Series, err = o.Result.CompactJSON(); err != nil {
-			return err
-		}
-		if err := ck.Append(pr); err != nil {
-			return err
-		}
-	}
-	log.Info("checkpointed finished experiments", "path", path, "appended", ok)
-	return nil
 }

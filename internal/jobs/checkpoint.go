@@ -1,10 +1,14 @@
-// Checkpoint files make sweep jobs durable: every completed experiment
-// point is appended to a per-job JSONL file as soon as it finishes, keyed
-// by the runcache sha256 content hash of the machine it simulated. A
-// daemon (or CLI sweep) that dies mid-job replays the file on restart and
-// re-simulates only the missing points. Appends are single-write plus
-// fsync, so a crash can at worst truncate the final record — which the
-// reader detects and discards rather than failing the whole recovery.
+// Checkpoint files make sweep jobs durable. A job's checkpoint is its
+// outcome index: every completed experiment point is appended to a
+// per-job JSONL file as soon as it finishes, keyed by the runcache sha256
+// content hash of the machine it simulated, with the outcome-log sequence
+// number that anchors SSE event IDs and the per-point summary a restarted
+// daemon serves for a terminal job. Simulation results themselves persist
+// only in the run store (internal/runstore), when one is installed. A
+// daemon that dies mid-job replays the file on restart and re-simulates
+// only the missing points. Appends are single-write plus fsync, so a
+// crash can at worst truncate the final record — which the reader detects
+// and discards rather than failing the whole recovery.
 package jobs
 
 import (
@@ -18,14 +22,9 @@ import (
 	"pipesim/internal/sweep"
 )
 
-// CheckpointSchema identifies the checkpoint record layout. Bump it when
-// a field changes meaning, so stale files are ignored instead of
-// misread.
-const CheckpointSchema = "pipesim-job-ckpt/v1"
-
 // PointResult is one completed experiment point: the unit of checkpoint
-// durability and of the job API's partial results. Key, Cycles, Valid,
-// Attr and Series are deterministic for a given machine (the soak test
+// durability and of the job API's partial results. Key, Cycles, Valid and
+// Attr are deterministic for a given machine (the soak test
 // asserts an interrupted-and-resumed job reproduces them bit-identically);
 // ElapsedS, Attempts and FromCheckpoint describe how this process obtained
 // the result and are excluded from that comparison.
@@ -45,10 +44,6 @@ type PointResult struct {
 	// Attr is the point's exact cycle attribution, when it carried
 	// statistics.
 	Attr *sweep.BucketTotals `json:"attr,omitempty"`
-	// Series is the compact replayable result (sweep.CompactJSON) for
-	// catalog-experiment points, so a resumed CLI sweep can still print
-	// its tables.
-	Series json.RawMessage `json:"series,omitempty"`
 	// ElapsedS is the wall-clock seconds this attempt took.
 	ElapsedS float64 `json:"elapsed_s"`
 	// Attempts is how many tries the point needed (1 = first try).
@@ -63,29 +58,29 @@ type PointResult struct {
 	Seq int `json:"seq,omitempty"`
 }
 
-// Checkpoint is an append-only JSONL file of completed point results.
+// checkpoint is an append-only JSONL file of completed point results.
 // Append is safe for concurrent use: parallel point workers checkpoint
 // each result the moment it completes.
-type Checkpoint struct {
+type checkpoint struct {
 	path string
 	mu   sync.Mutex
 	f    *os.File
 }
 
-// OpenCheckpoint opens (creating if needed) the checkpoint file for
+// openCheckpoint opens (creating if needed) the checkpoint file for
 // appending.
-func OpenCheckpoint(path string) (*Checkpoint, error) {
+func openCheckpoint(path string) (*checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: opening checkpoint: %w", err)
 	}
-	return &Checkpoint{path: path, f: f}, nil
+	return &checkpoint{path: path, f: f}, nil
 }
 
 // Append durably records one completed point: a single write of the JSON
 // line followed by fsync, so the record either exists completely or (after
-// a crash mid-write) is a trailing fragment ReadCheckpoint discards.
-func (c *Checkpoint) Append(r PointResult) error {
+// a crash mid-write) is a trailing fragment readCheckpoint discards.
+func (c *checkpoint) Append(r PointResult) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("jobs: encoding checkpoint record: %w", err)
@@ -103,14 +98,14 @@ func (c *Checkpoint) Append(r PointResult) error {
 }
 
 // Close closes the underlying file.
-func (c *Checkpoint) Close() error { return c.f.Close() }
+func (c *checkpoint) Close() error { return c.f.Close() }
 
-// ReadCheckpoint replays a checkpoint file. A missing file is an empty
+// readCheckpoint replays a checkpoint file. A missing file is an empty
 // checkpoint. A truncated or corrupt record — a crash mid-append — is
 // discarded with a logged warning instead of failing the whole recovery:
 // the worst case is re-simulating the one point whose record was lost.
 // Records missing their identity key are likewise dropped.
-func ReadCheckpoint(path string, log *slog.Logger) ([]PointResult, error) {
+func readCheckpoint(path string, log *slog.Logger) ([]PointResult, error) {
 	if log == nil {
 		log = slog.Default()
 	}

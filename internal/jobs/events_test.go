@@ -81,7 +81,7 @@ func TestJobPublishesLifecycleAndOutcomes(t *testing.T) {
 
 	// The checkpoint records persist the same indexes (Seq), and the
 	// Outcomes accessor serves the same ledger.
-	recs, err := ReadCheckpoint(m.ckptPath(v.ID), nil)
+	recs, err := readCheckpoint(m.ckptPath(v.ID), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestOutcomeLogSurvivesKillResume(t *testing.T) {
 	}
 
 	// The checkpoint carries those same indexes.
-	recs, err := ReadCheckpoint(filepath.Join(dir, v.ID+".ckpt.jsonl"), log)
+	recs, err := readCheckpoint(filepath.Join(dir, v.ID+".ckpt.jsonl"), log)
 	if err != nil {
 		t.Fatal(err)
 	}

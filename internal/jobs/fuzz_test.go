@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"io"
 	"log/slog"
 	"os"
@@ -24,6 +23,7 @@ func FuzzJobCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"cycles":1}` + "\n"))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte("{\"point\":\"x\",\"key\":\"y\"}\n\x00\xff\xfe\n"))
+	f.Add([]byte(`{"point":"exp:fig5b","key":"` + strings.Repeat("cd", 32) + `","cycles":7,"valid":true,"seq":3,"series":{"x_label":"cache"}}` + "\n"))
 
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -32,9 +32,9 @@ func FuzzJobCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		recs, err := ReadCheckpoint(path, log)
+		recs, err := readCheckpoint(path, log)
 		if err != nil {
-			t.Fatalf("ReadCheckpoint must recover, not fail: %v", err)
+			t.Fatalf("readCheckpoint must recover, not fail: %v", err)
 		}
 		for _, r := range recs {
 			if r.Point == "" || r.Key == "" {
@@ -45,7 +45,7 @@ func FuzzJobCheckpoint(f *testing.F) {
 		// Round trip: appending what we parsed must parse back to the
 		// same identities in the same order.
 		rt := filepath.Join(dir, "rt.ckpt.jsonl")
-		ck, err := OpenCheckpoint(rt)
+		ck, err := openCheckpoint(rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func FuzzJobCheckpoint(f *testing.F) {
 			}
 		}
 		ck.Close()
-		got, err := ReadCheckpoint(rt, log)
+		got, err := readCheckpoint(rt, log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func FuzzJobCheckpoint(f *testing.F) {
 		for i := range recs {
 			if got[i].Point != recs[i].Point || got[i].Key != recs[i].Key ||
 				got[i].Cycles != recs[i].Cycles || got[i].Valid != recs[i].Valid ||
-				!bytes.Equal(got[i].Series, recs[i].Series) {
+				got[i].Seq != recs[i].Seq {
 				t.Fatalf("round trip record %d: %+v != %+v", i, got[i], recs[i])
 			}
 		}

@@ -1,12 +1,14 @@
 // Package jobs is the durable sweep-job subsystem behind the daemon's
-// POST /v1/jobs API and the experiments CLI's -resume flag. A job expands
-// a declarative spec into experiment points, executes them on the
-// fault-isolated sweep runner with per-point retry and exponential
-// backoff, and appends every completed point to a per-job JSONL
-// checkpoint keyed by the runcache content hash — so a daemon crash or
-// drain loses at most the points in flight, and a restarted manager
-// resumes exactly the missing ones. Admission is bounded: a full queue
-// sheds load (HTTP 429) before the hot loop starves.
+// POST /v1/jobs API. A job expands a declarative spec into experiment
+// points, executes them on the fault-isolated sweep runner with per-point
+// retry and exponential backoff, and appends every completed point to a
+// per-job JSONL checkpoint keyed by the runcache content hash — so a
+// daemon crash or drain loses at most the points in flight, and a
+// restarted manager resumes exactly the missing ones. The checkpoint is
+// the job's outcome index (which points finished, their outcome-log
+// sequence numbers and per-point summaries); simulation results persist
+// in the run store behind runcache.Default, not here. Admission is
+// bounded: a full queue sheds load (HTTP 429) before the hot loop starves.
 package jobs
 
 import (
@@ -208,9 +210,11 @@ func gridPoint(id string, cfg core.Config, valid bool, img *program.Image) point
 	}}
 }
 
-// catalogPoint wraps one catalog experiment as a job point.
+// catalogPoint wraps one catalog experiment as a job point. Like a grid
+// point it reports key, cycles, validity and attribution; the
+// experiment's table is served by GET /v1/sweep?exp=… from the caches.
 func catalogPoint(e sweep.Experiment, fp [sha256.Size]byte) point {
-	k := CatalogKey(e.ID, fp)
+	k := catalogKey(e.ID, fp)
 	return point{id: "exp:" + e.ID, key: k, run: func(ctx context.Context) (PointResult, error) {
 		pr := PointResult{Point: "exp:" + e.ID, Key: k.String()}
 		res, err := e.Run(ctx)
@@ -228,18 +232,15 @@ func catalogPoint(e sweep.Experiment, fp [sha256.Size]byte) point {
 		if t, ok := sweep.ResultTotals(res); ok {
 			pr.Attr = &t
 		}
-		if pr.Series, err = res.CompactJSON(); err != nil {
-			return pr, err
-		}
 		return pr, nil
 	}}
 }
 
-// CatalogKey is the checkpoint identity of a catalog experiment run over
+// catalogKey is the checkpoint identity of a catalog experiment run over
 // the image with the given fingerprint: a sha256 content hash in the same
 // key space the grid points draw from runcache.KeyFor (the leading
 // version tag keeps the two families from colliding).
-func CatalogKey(expID string, imageFP [sha256.Size]byte) runcache.Key {
+func catalogKey(expID string, imageFP [sha256.Size]byte) runcache.Key {
 	h := sha256.New()
 	h.Write([]byte("pipesim-job-point/v1\x00"))
 	h.Write([]byte(expID))

@@ -345,7 +345,7 @@ func (m *Manager) Recover() (int, error) {
 			// Load its results so GET /v1/jobs/{id} still serves them, and
 			// rebuild the outcome log so an SSE stream over the finished job
 			// replays its history with the original event IDs.
-			recs, err := ReadCheckpoint(m.ckptPath(man.ID), m.log)
+			recs, err := readCheckpoint(m.ckptPath(man.ID), m.log)
 			if err != nil {
 				m.log.Warn("loading finished job's checkpoint", "job", man.ID, "err", err)
 			}
@@ -507,7 +507,7 @@ func (m *Manager) runJob(j *job) {
 
 	// Replay the checkpoint: every point whose content hash is already
 	// recorded is completed without re-simulating.
-	recs, err := ReadCheckpoint(m.ckptPath(id), log)
+	recs, err := readCheckpoint(m.ckptPath(id), log)
 	if err != nil {
 		m.finalize(j, log, fmt.Errorf("replaying checkpoint: %w", err))
 		return
@@ -554,7 +554,7 @@ func (m *Manager) runJob(j *job) {
 	log.Info("job starting", "points", startView.TotalPoints,
 		"resumed", startView.ResumedPoints, "workers", m.opt.PointWorkers)
 
-	ckpt, err := OpenCheckpoint(m.ckptPath(id))
+	ckpt, err := openCheckpoint(m.ckptPath(id))
 	if err != nil {
 		m.finalize(j, log, err)
 		return
@@ -592,7 +592,7 @@ func (m *Manager) runJob(j *job) {
 
 // runRound executes one batch of pending points and returns the points to
 // retry next round.
-func (m *Manager) runRound(jctx context.Context, j *job, ckpt *Checkpoint, log *slog.Logger,
+func (m *Manager) runRound(jctx context.Context, j *job, ckpt *checkpoint, log *slog.Logger,
 	pts []point, attempts map[string]int) []point {
 
 	id := j.man.ID

@@ -112,7 +112,7 @@ func TestJobRunsToDone(t *testing.T) {
 	if man.State != StateDone || man.Schema != ManifestSchema || man.ID != v.ID {
 		t.Errorf("manifest on disk: %+v", man)
 	}
-	recs, err := ReadCheckpoint(m.ckptPath(v.ID), nil)
+	recs, err := readCheckpoint(m.ckptPath(v.ID), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

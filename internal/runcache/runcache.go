@@ -104,8 +104,9 @@ func KeyFor(cfg core.Config, imageFP [sha256.Size]byte) Key {
 	return k
 }
 
-// String renders the key as lowercase hex — the stable on-disk identity
-// used by job checkpoint files (internal/jobs).
+// String renders the key as lowercase hex — the stable on-disk identity:
+// run-store record file names (internal/runstore, "<hex>.json") and the
+// point keys in job checkpoint files (internal/jobs).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // ParseKey decodes the hex form produced by Key.String.

@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"pipesim/internal/mem"
 	"pipesim/internal/runcache"
+	"pipesim/internal/runstore"
 )
 
 // TestFig5bFig6aIdenticalSeries: Figure 6a is the same machine as Figure 5b
@@ -99,5 +101,62 @@ func TestRunPipeCachedMatchesFresh(t *testing.T) {
 	}
 	if *fresh != *miss || *fresh != *hit {
 		t.Errorf("cached results differ from fresh:\nfresh %+v\nmiss  %+v\nhit   %+v", fresh, miss, hit)
+	}
+}
+
+// TestRunStoreServesRerun runs one cache-backed experiment twice over a
+// fresh run store with the memory tier emptied before each run, as two
+// processes sharing a -store-dir would. The rerun must simulate nothing
+// (no store writes, one store hit per record the first run archived) and
+// report the same metrics, per-point attribution and 3C cache block
+// included: a store hit carries the complete statistics.
+func TestRunStoreServesRerun(t *testing.T) {
+	store, err := runstore.Open(t.TempDir(), runstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runcache.Default.SetStore(store)
+	t.Cleanup(func() { runcache.Default.SetStore(nil) })
+	e, ok := Lookup("slots")
+	if !ok {
+		t.Fatal("unknown experiment slots")
+	}
+	metrics := func() []byte {
+		runcache.Default.Reset()
+		sum := RunAll([]Experiment{e}, Options{Workers: 1})
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		sum.Elapsed = 0
+		for i := range sum.Outcomes {
+			sum.Outcomes[i].Elapsed = 0
+		}
+		var buf bytes.Buffer
+		if err := sum.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	cold := metrics()
+	c1 := store.Counters()
+	warm := metrics()
+	c2 := store.Counters()
+	if c1.Writes == 0 {
+		t.Fatal("first run archived nothing")
+	}
+	if w := c2.Writes - c1.Writes; w != 0 {
+		t.Errorf("rerun wrote %d store records, want 0", w)
+	}
+	if h := c2.Hits - c1.Hits; h != c1.Writes {
+		t.Errorf("rerun made %d store hits, want %d (one per archived run)", h, c1.Writes)
+	}
+	for _, block := range []string{`"attribution"`, `"cache"`} {
+		if !bytes.Contains(warm, []byte(block)) {
+			t.Errorf("rerun metrics lack the %s block", block)
+		}
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("rerun metrics differ from the first run's:\nfirst %s\nrerun %s", cold, warm)
 	}
 }

@@ -526,55 +526,6 @@ func runIsolated(ctx context.Context, e Experiment, timeout time.Duration, injec
 	}
 }
 
-// CompactJSON renders the deterministic, replayable core of a result —
-// the x label and every series as (x, cycles, valid) triples, the same
-// shape WriteJSON embeds per outcome. Wall-clock times and raw statistics
-// are deliberately excluded, so the bytes are bit-identical across runs of
-// the same machine; job checkpoints (internal/jobs) and the experiments
-// CLI's -resume flag depend on that.
-func (r *Result) CompactJSON() (json.RawMessage, error) {
-	c := compactResult{Title: r.Title, Description: r.Description, XLabel: r.XLabel}
-	for _, sr := range r.Series {
-		js := jsonSeries{Label: sr.Label, Points: make([]jsonPoint, 0, len(sr.Points))}
-		for _, p := range sr.Points {
-			js.Points = append(js.Points, jsonPoint{X: p.CacheBytes, Cycles: p.Cycles, Valid: p.Valid})
-		}
-		c.Series = append(c.Series, js)
-	}
-	return json.Marshal(c)
-}
-
-// ResultFromCompact rebuilds a renderable Result from its CompactJSON
-// bytes. Per-point statistics are gone (a replayed result carries none),
-// but Format, CSV and Plot all work.
-func ResultFromCompact(raw json.RawMessage, id, title string) (*Result, error) {
-	var c compactResult
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return nil, fmt.Errorf("sweep: decoding compact result: %w", err)
-	}
-	res := &Result{ID: id, Title: title, XLabel: c.XLabel}
-	if c.Title != "" {
-		res.Title = c.Title
-	}
-	res.Description = c.Description
-	for _, js := range c.Series {
-		s := Series{Label: js.Label}
-		for _, p := range js.Points {
-			s.Points = append(s.Points, Point{CacheBytes: p.X, Cycles: p.Cycles, Valid: p.Valid})
-		}
-		res.Series = append(res.Series, s)
-	}
-	return res, nil
-}
-
-// compactResult is the CompactJSON layout (stable: pipesim-job-ckpt/v1).
-type compactResult struct {
-	Title       string       `json:"title,omitempty"`
-	Description string       `json:"description,omitempty"`
-	XLabel      string       `json:"x_label,omitempty"`
-	Series      []jsonSeries `json:"series,omitempty"`
-}
-
 // SortByID orders outcomes by experiment ID (RunAll already preserves
 // submission order; this is for callers that merge several sweeps).
 func SortByID(outcomes []Outcome) {

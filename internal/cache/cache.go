@@ -16,7 +16,6 @@ import "fmt"
 
 // Cache is a direct-mapped cache with sub-block valid bits.
 type Cache struct {
-	sizeBytes     int
 	lineBytes     int
 	subBlockBytes int
 
@@ -64,7 +63,6 @@ func New(sizeBytes, lineBytes, subBlockBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: line %d larger than cache %d", lineBytes, sizeBytes)
 	}
 	c := &Cache{
-		sizeBytes:     sizeBytes,
 		lineBytes:     lineBytes,
 		subBlockBytes: subBlockBytes,
 		nLines:        sizeBytes / lineBytes,
@@ -91,9 +89,6 @@ func log2u(v uint32) uint32 {
 	}
 	return n
 }
-
-// SizeBytes returns the cache capacity.
-func (c *Cache) SizeBytes() int { return c.sizeBytes }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }

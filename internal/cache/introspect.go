@@ -33,8 +33,8 @@ import (
 // the attribution tables. It is single-goroutine, like the simulator core
 // that drives it.
 type Introspector struct {
-	lineBytes uint32
-	nLines    uint32
+	lineShift uint32 // log2 of the line size
+	setMask   uint32 // line count - 1
 
 	seen map[uint32]struct{} // infinite shadow: line addresses ever referenced
 	fa   faLRU               // equal-size fully-associative LRU shadow
@@ -57,13 +57,13 @@ type Introspector struct {
 }
 
 // NewIntrospector builds an introspector for a direct-mapped cache of the
-// given geometry. topN bounds the hot miss-PC table returned by Stats
-// (<= 0 keeps every PC).
+// given geometry, whose sizes are powers of two as New requires. topN
+// bounds the hot miss-PC table returned by Stats (<= 0 keeps every PC).
 func NewIntrospector(sizeBytes, lineBytes, topN int) *Introspector {
 	nLines := sizeBytes / lineBytes
 	in := &Introspector{
-		lineBytes: uint32(lineBytes),
-		nLines:    uint32(nLines),
+		lineShift: log2u(uint32(lineBytes)),
+		setMask:   uint32(nLines - 1),
 		seen:      make(map[uint32]struct{}),
 		sets:      make([]stats.CacheSetStats, nLines),
 		lineHit:   make([]bool, nLines),
@@ -74,20 +74,22 @@ func NewIntrospector(sizeBytes, lineBytes, topN int) *Introspector {
 	return in
 }
 
-// set returns the direct-mapped frame index of addr.
-func (in *Introspector) set(addr uint32) int {
-	return int((addr / in.lineBytes) % in.nLines)
-}
-
 // Reference observes one demand reference of the fetch engine at its own
 // hit/miss accounting point and returns the miss class (MissUnclassified
 // for a hit). Both shadows see every reference — hits included — so the
 // fully-associative shadow's LRU order tracks true recency.
 func (in *Introspector) Reference(addr uint32, hit bool) stats.MissClass {
-	line := addr - addr%in.lineBytes
-	set := in.set(addr)
+	line := addr >> in.lineShift << in.lineShift
+	set := int(addr >> in.lineShift & in.setMask)
 	s := &in.sets[set]
 	s.Accesses++
+	if hit && in.fa.isMRU(line) {
+		// The line referenced last hits again (the common case of
+		// sequential supply): it is already seen and already the most
+		// recent, so neither shadow changes.
+		in.lineHit[set] = true
+		return stats.MissUnclassified
+	}
 	class := stats.MissUnclassified
 	_, seen := in.seen[line]
 	if hit {
@@ -189,6 +191,12 @@ func (l *faLRU) init(capacity int) {
 	l.index = make(map[uint32]int, capacity)
 	l.nodes = make([]faNode, 1, capacity+1)
 	l.nodes[0] = faNode{prev: 0, next: 0}
+}
+
+// isMRU reports whether line is the most recently referenced line.
+func (l *faLRU) isMRU(line uint32) bool {
+	i := l.nodes[0].next
+	return i != 0 && l.nodes[i].addr == line
 }
 
 // contains reports whether line is resident, without touching recency.

@@ -397,7 +397,10 @@ func (s *Simulator) FlightEvents() []obs.Event {
 // relayout) runs from cycle 1 to the end of the cycle this run stopped in,
 // with a flight recorder attached as its probe and a retirement ring as
 // its tracer. The simulator is deterministic, so the tails are exactly the
-// ones those observers would hold had they watched this run. A fault
+// ones those observers would hold had they watched this run. (The ring
+// makes the replay refuse retire folds, so it ticks some cycles this run
+// folded; folding never changes machine state, so the tails are still
+// identical.) A fault
 // raised by this run's own observers (retire tracer or probe) is not
 // reproduced, since the replay does not attach them; its replay runs to
 // the end of the faulting cycle instead.
@@ -463,7 +466,9 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 	// consuming the per-cycle event stream (KindCycle, queue depths) need
 	// every cycle replayed exactly, not folded. A post-mortem replay keeps
 	// it: its only probe is the flight recorder, which drops exactly those
-	// kinds, so the replay folds the cycles the failed run folded.
+	// kinds. Its retirement ring refuses retire folds (see below), so the
+	// replay folds fewer cycles than the failed run did, to the same
+	// machine state at every cycle.
 	skip := !s.cfg.NoSkipAhead && (s.probe == nil || s.replay)
 	for cycle := uint64(1); ; cycle++ {
 		s.cycle = cycle
@@ -502,8 +507,16 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 		// incremented. The jump target is clamped to the interrupt cycle,
 		// the watchdog deadline and MaxCycles so those paths fire at
 		// identical cycle numbers with identical diagnostics.
+		//
+		// The checks run cheapest refusal first: the ticked cycle's
+		// bucket, then a memory event due next cycle (the commonest
+		// refusal at T=1), then the CPU and fetch-engine classifiers.
 		if !s.cpu.MaybeStalled() {
 			continue // the ticked cycle was active: next one cannot fold
+		}
+		target := s.sys.NextEvent()
+		if target <= cycle+1 {
+			continue // the next cycle has an event anyway: nothing to elide
 		}
 		prof := s.cpu.StallProfile()
 		if prof == cpu.StallNone {
@@ -512,12 +525,20 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 		if s.eng.NextEvent() == 0 {
 			continue
 		}
-		target := s.sys.NextEvent()
+		// A retire fold retires the instruction in EX2 in the span's
+		// first cycle: that cycle is the watchdog's last progress, as it
+		// would have been had the run stepped it. A run with a retire
+		// hook (a post-mortem replay's retirement ring, a user tracer)
+		// never sees one, so it folds fewer cycles to identical results.
+		progress := lastProgress
+		if prof.Retires() {
+			progress = cycle + 1
+		}
 		if s.cfg.InterruptAt > cycle && s.cfg.InterruptAt < target {
 			target = s.cfg.InterruptAt
 		}
 		if !s.cpu.Halted() {
-			if deadline := lastProgress + watchdog; deadline > cycle && deadline < target {
+			if deadline := progress + watchdog; deadline > cycle && deadline < target {
 				target = deadline
 			}
 		}
@@ -525,10 +546,14 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 			target = s.cfg.MaxCycles
 		}
 		if target <= cycle+1 {
-			continue // the next cycle has an event anyway: nothing to elide
+			continue // a clamp left nothing to elide
 		}
 		n := target - cycle - 1
 		s.cpu.FoldStall(prof, n)
+		if prof.Retires() {
+			lastRetired = s.st.CPU.Instructions
+			lastProgress = progress
+		}
 		s.skipped += n
 		cycle = target - 1
 	}

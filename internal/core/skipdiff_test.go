@@ -10,6 +10,7 @@ package core_test
 // from both paths.
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"pipesim/internal/kernels"
 	"pipesim/internal/program"
 	"pipesim/internal/synth"
+	"pipesim/internal/trace"
 )
 
 // diffConfigs is the machine matrix the suite sweeps: every fetch
@@ -208,6 +210,63 @@ func TestSkipDifferentialInterrupt(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stepSt, skipSt) {
 			t.Errorf("InterruptAt=%d: results diverged:\nstep %+v\nskip %+v", at, stepSt, skipSt)
+		}
+	}
+}
+
+// TestWatchdogAfterRetireFold pins the watchdog against the retire fold: in
+// stuckProgram the last instruction that ever retires does so in the first
+// cycle of a folded span, and the watchdog fires WatchdogCycles later. The
+// stepped and skipping runs must report the same deadlock — cycle, last
+// progress, diagnosis and post-mortem tails. A run with a retire tracer
+// attached refuses that fold, so it must elide fewer cycles: that proves
+// the retirement was folded rather than ticked.
+func TestWatchdogAfterRetireFold(t *testing.T) {
+	img := stuckProgram(t)
+	for _, strat := range []core.FetchStrategy{core.FetchPIPE, core.FetchConventional, core.FetchTIB} {
+		for _, access := range []int{1, 6} {
+			cfg := core.DefaultConfig()
+			cfg.Fetch = strat
+			cfg.TIBEntries = 4
+			cfg.TIBLineBytes = 16
+			cfg.Mem.AccessTime = access
+			cfg.WatchdogCycles = 500
+			run := func(noSkip, tracer bool) (*core.DeadlockError, uint64) {
+				t.Helper()
+				c := cfg
+				c.NoSkipAhead = noSkip
+				sim, err := core.New(c, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tracer {
+					ring, err := trace.NewRing(4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sim.SetRetireTracer(ring)
+				}
+				_, err = sim.Run()
+				var dl *core.DeadlockError
+				if !errors.As(err, &dl) {
+					t.Fatalf("%s T=%d: Run err = %v, want *DeadlockError", strat, access, err)
+				}
+				return dl, sim.SkippedCycles()
+			}
+			step, _ := run(true, false)
+			skip, folded := run(false, false)
+			_, foldedTraced := run(false, true)
+			if !reflect.DeepEqual(step, skip) {
+				t.Errorf("%s T=%d: deadlock diverged:\nstep %+v\nskip %+v", strat, access, step, skip)
+			}
+			if skip.Cycle-skip.LastProgress != cfg.WatchdogCycles {
+				t.Errorf("%s T=%d: watchdog fired at %d, last progress %d, window %d",
+					strat, access, skip.Cycle, skip.LastProgress, cfg.WatchdogCycles)
+			}
+			if folded <= foldedTraced {
+				t.Errorf("%s T=%d: %d cycles folded, %d with a retire tracer: the last retirement was not folded",
+					strat, access, folded, foldedTraced)
+			}
 		}
 	}
 }

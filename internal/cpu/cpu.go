@@ -73,7 +73,7 @@ func (c Config) Validate() error {
 type slot struct {
 	valid bool
 	pc    uint32
-	in    isa.Inst
+	in    isa.Decoded // the instruction and its timing class
 
 	// Values computed at issue, applied at the timed stages.
 	result   int32  // register result (also SDQ datum for R7 writes)
@@ -124,18 +124,22 @@ type CPU struct {
 	// Pipeline latches: id <- fetch, is <- id, ex1 <- is, ex2 <- ex1.
 	id, is, ex1, ex2 slot
 
-	laq *queue.Queue[laqEntry]
-	ldq *queue.Queue[int32]
-	saq *queue.Queue[saqEntry]
-	sdq *queue.Queue[int32]
+	// The architectural queues, held by value: one indirection less on
+	// every per-cycle queue test.
+	laq queue.Queue[laqEntry]
+	ldq queue.Queue[int32]
+	saq queue.Queue[saqEntry]
+	sdq queue.Queue[int32]
 
 	// LDQ sequencing: slots are reserved in dispatch (= program) order;
 	// arrivals are buffered and pushed in order. The reorder buffer is a
-	// ring indexed seq mod LDQDepth: at most LDQDepth reservations are
-	// outstanding (the dispatch gate), so slots never collide.
+	// power-of-two ring of at least LDQDepth slots indexed seq&arrivedMask:
+	// at most LDQDepth reservations are outstanding (the dispatch gate), so
+	// slots never collide.
 	ldqSeqNext    uint64
 	ldqSeqHead    uint64
 	arrived       []arrivedSlot
+	arrivedMask   uint64
 	inflightLoads int
 
 	// memSeqNext tags LAQ/SAQ entries in program order at address
@@ -157,8 +161,9 @@ type CPU struct {
 
 	// dec, when non-nil, is the image's shared predecoded text segment:
 	// the instruction at byte address 4*i is dec[i] (fixed format only).
-	// Consuming an instruction then skips isa.Decode entirely.
-	dec []isa.Inst
+	// Taking an instruction then skips the decode and the timing-class
+	// resolution entirely.
+	dec []isa.Decoded
 
 	fetchHalted bool // HALT has been fetched; stop consuming
 	halted      bool // HALT has retired
@@ -223,17 +228,22 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 	if err != nil {
 		return nil, fmt.Errorf("cpu: SDQ: %w", err)
 	}
+	ring := 1
+	for ring < cfg.LDQDepth {
+		ring <<= 1
+	}
 	c := &CPU{
-		cfg:     cfg,
-		eng:     eng,
-		sys:     sys,
-		st:      st,
-		laq:     laq,
-		ldq:     ldq,
-		saq:     saq,
-		sdq:     sdq,
-		arrived: make([]arrivedSlot, cfg.LDQDepth),
-		fst:     eng.Stats(),
+		cfg:         cfg,
+		eng:         eng,
+		sys:         sys,
+		st:          st,
+		laq:         *laq,
+		ldq:         *ldq,
+		saq:         *saq,
+		sdq:         *sdq,
+		arrived:     make([]arrivedSlot, ring),
+		arrivedMask: uint64(ring - 1),
+		fst:         eng.Stats(),
 	}
 	if cfg.DCacheBytes > 0 {
 		line := cfg.DCacheLineBytes
@@ -258,8 +268,8 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 
 // SetDecodeTable installs the image's shared predecoded text segment (see
 // program.Image.Decoded). Fixed-format images only; pass nil to decode from
-// the instruction word on every consume.
-func (c *CPU) SetDecodeTable(dec []isa.Inst) { c.dec = dec }
+// the instruction word on every take.
+func (c *CPU) SetDecodeTable(dec []isa.Decoded) { c.dec = dec }
 
 // SetProbe attaches an observability probe. Call before the first Tick.
 func (c *CPU) SetProbe(p obs.Probe) {
@@ -277,9 +287,6 @@ func (c *CPU) Err() error { return c.execErr }
 
 // Reg returns the current value of data register r (for tests/examples).
 func (c *CPU) Reg(r int) int32 { return c.regs[r] }
-
-// LDQLen returns the current Load Data Queue occupancy (for tests).
-func (c *CPU) LDQLen() int { return c.ldq.Len() }
 
 // DebugState renders the architectural-queue occupancy and pipeline state
 // in one line, for deadlock and machine-check diagnostics: a stall on an
@@ -308,10 +315,9 @@ func (c *CPU) RaiseInterrupt(vector uint32) {
 // loadArrived buffers a returned load/FPU value and pushes buffered values
 // into the LDQ in reservation order.
 func (c *CPU) loadArrived(seq uint64, value uint32) {
-	n := uint64(len(c.arrived))
-	c.arrived[seq%n] = arrivedSlot{value: int32(value), valid: true}
+	c.arrived[seq&c.arrivedMask] = arrivedSlot{value: int32(value), valid: true}
 	for {
-		s := &c.arrived[c.ldqSeqHead%n]
+		s := &c.arrived[c.ldqSeqHead&c.arrivedMask]
 		if !s.valid {
 			break
 		}
@@ -326,26 +332,44 @@ func (c *CPU) loadArrived(seq uint64, value uint32) {
 // and before the memory system's EndCycle.
 //
 // Every Tick attributes its cycle to exactly one stats.CycleBucket, so the
-// buckets always sum to the run's total cycle count.
+// buckets always sum to the run's total cycle count. Phases with nothing to
+// do (an empty latch, no interrupt draining, no queued memory operation)
+// are skipped at the call site, so an idle phase costs no call.
 func (c *CPU) Tick() {
 	c.cycle++
 	if c.halted || c.execErr != nil {
 		c.account(stats.CycleDrain)
-		c.dispatchMemory()
+		if c.dispatchPending() {
+			c.dispatchMemory()
+		}
 		return
 	}
-	c.retire()  // EX2
-	c.execute() // EX1 (timed effects of the instruction that issued last cycle)
+	if c.ex2.valid {
+		c.retire() // EX2
+	}
+	if c.ex1.valid {
+		c.execute() // EX1 (timed effects of the instruction that issued last cycle)
+	}
 	stalled, bucket := c.issue()
 	if !stalled {
 		c.decodeAndFetch()
 	}
 	c.account(bucket)
-	c.maybeEnterInterrupt()
-	c.dispatchMemory()
+	if c.irqDraining {
+		c.maybeEnterInterrupt()
+	}
+	if c.dispatchPending() {
+		c.dispatchMemory()
+	}
 	if c.probe != nil {
 		c.sampleQueues()
 	}
+}
+
+// dispatchPending reports whether dispatchMemory has anything to look at:
+// a data-cache hit to deliver or a queued load or store address.
+func (c *CPU) dispatchPending() bool {
+	return len(c.dhits) > 0 || !c.laq.Empty() || !c.saq.Empty()
 }
 
 // StallProfile classifies what the next Tick would do, for the core's
@@ -365,7 +389,20 @@ const (
 	StallStarved                       // supply empty (CycleFetchStarved + starvation counters)
 	StallQueueFull                     // full LAQ/SAQ/SDQ (CycleQueueFull + StallQueueFull)
 	StallLDQWait                       // empty LDQ (CycleLDQWait + StallLDQEmpty)
+
+	// StallRetire marks a stall whose first cycle also retires the
+	// instruction waiting in EX2 — the retire fold. Retirement touches
+	// only counters, so a span that begins with it still folds; the core
+	// records the span's first cycle as the watchdog's last progress. It
+	// combines with StallStarved, StallQueueFull and StallLDQWait, never
+	// with HALT (retiring it ends the run) and never while a retire hook
+	// is attached (the hook observes the retirement cycle).
+	StallRetire StallProfile = 0x80
 )
+
+// Retires reports whether the profile's first folded cycle retires the
+// instruction in EX2.
+func (p StallProfile) Retires() bool { return p&StallRetire != 0 }
 
 // StallProfile classifies the CPU's current state read-only, mirroring the
 // decision structure of Tick exactly. Conservative: anything it cannot
@@ -377,31 +414,23 @@ func (c *CPU) StallProfile() StallProfile {
 		}
 		return StallNone
 	}
-	if c.ex2.valid || c.ex1.valid {
-		return StallNone // retire/execute would act
+	if c.ex1.valid {
+		return StallNone // execute would act
+	}
+	if c.ex2.valid && (c.ex2.in.Op == isa.OpHALT || c.OnRetire != nil) {
+		return StallNone // retiring HALT ends the run; a hook observes the cycle
 	}
 	var p StallProfile
 	if c.is.valid {
-		// Mirror issue()'s stall checks; the EX1 pending adjustments are
-		// zero because ex1 is invalid here.
-		in := c.is.in
+		// Mirror issue()'s stall checks; no push is pending because ex1
+		// is invalid here.
+		cls := c.is.in.Class
 		switch {
-		case in.Op == isa.OpLD && c.laq.Len() >= c.laq.Cap(),
-			in.Op == isa.OpST && c.saq.Len() >= c.saq.Cap(),
-			in.WritesSDQ() && c.sdq.Len() >= c.sdq.Cap():
+		case c.pushBlocked(cls, 0):
 			p = StallQueueFull
+		case c.ldq.Len() >= cls.LDQPops():
+			return StallNone // would issue
 		default:
-			need := 0
-			readsA, readsB := c.operandReads(in)
-			if readsA && in.Ra == isa.QueueReg {
-				need++
-			}
-			if readsB && in.Rb == isa.QueueReg {
-				need++
-			}
-			if c.ldq.Len() >= need {
-				return StallNone // would issue
-			}
 			p = StallLDQWait
 		}
 	} else {
@@ -421,6 +450,9 @@ func (c *CPU) StallProfile() StallProfile {
 	}
 	if !c.dispatchQuiescent() {
 		return StallNone
+	}
+	if c.ex2.valid {
+		p |= StallRetire
 	}
 	return p
 }
@@ -467,6 +499,10 @@ func (c *CPU) dispatchQuiescent() bool {
 // guarantees the profile was just reported by StallProfile and that no
 // external event lands inside the folded span.
 func (c *CPU) FoldStall(p StallProfile, n uint64) {
+	if p.Retires() {
+		c.retire() // in the span's first cycle, before its stall
+		p &^= StallRetire
+	}
 	c.cycle += n
 	switch p {
 	case StallDrain:
@@ -521,11 +557,8 @@ func (c *CPU) sampleQueues() {
 }
 
 // maybeEnterInterrupt performs interrupt entry once the pipeline has
-// drained past a clean boundary.
+// drained past a clean boundary. Call only while an entry is draining.
 func (c *CPU) maybeEnterInterrupt() {
-	if !c.irqDraining {
-		return
-	}
 	if c.id.valid || c.is.valid || c.ex1.valid || c.ex2.valid {
 		return // still draining
 	}
@@ -538,15 +571,12 @@ func (c *CPU) maybeEnterInterrupt() {
 	c.eng.Redirect(c.irqVector)
 }
 
-// retire completes the instruction in EX2.
+// retire completes the instruction in EX2, which must be valid.
 func (c *CPU) retire() {
-	if !c.ex2.valid {
-		return
-	}
 	in := c.ex2.in
 	c.st.Instructions++
 	if c.OnRetire != nil {
-		c.OnRetire(c.cycle, c.ex2.pc, in)
+		c.OnRetire(c.cycle, c.ex2.pc, in.Inst)
 	}
 	switch in.Op {
 	case isa.OpHALT:
@@ -564,32 +594,56 @@ func (c *CPU) retire() {
 	c.ex2.valid = false
 }
 
-// execute applies the EX1-stage timed effects (address-queue pushes and the
-// PBR resolution) and moves the instruction to EX2.
+// execute applies the EX1-stage timed effects (queue pushes and the PBR
+// resolution) and moves the instruction, which must be valid, to EX2.
 func (c *CPU) execute() {
 	if c.ex2.valid {
 		panic("cpu: EX2 occupied at EX1 advance")
 	}
 	c.ex2 = c.ex1
 	c.ex1.valid = false
-	if !c.ex2.valid {
-		return
-	}
 	s := &c.ex2
-	switch s.in.Op {
-	case isa.OpLD:
+	switch cls := s.in.Class; {
+	case cls&isa.PushLAQ != 0:
 		c.laq.MustPush(laqEntry{addr: s.memAddr, seq: c.memSeqNext})
 		c.memSeqNext++
-	case isa.OpST:
+	case cls&isa.PushSAQ != 0:
 		c.saq.MustPush(saqEntry{addr: s.memAddr, seq: c.memSeqNext})
 		c.memSeqNext++
-	case isa.OpPBR:
+	case cls&isa.PushSDQ != 0:
+		c.sdq.MustPush(s.result)
+	case s.in.Op == isa.OpPBR:
 		c.pbrInFlight--
 		c.eng.Resolve(s.pbrTaken, c.bregs[s.pbrBn])
 	}
-	if s.in.WritesSDQ() {
-		c.sdq.MustPush(s.result)
+}
+
+// pushBlocked reports whether the queue an instruction of class cls pushes
+// at EX1 is full, counting the push still pending from the instruction in
+// EX1 (class pend, or zero when EX1 is empty). It inlines the common case
+// of an instruction that pushes nothing.
+func (c *CPU) pushBlocked(cls, pend isa.Class) bool {
+	return cls&isa.Pushes != 0 && c.pushFull(cls, pend)
+}
+
+// pushFull is pushBlocked for an instruction that pushes a queue. An
+// instruction pushes at most one.
+func (c *CPU) pushFull(cls, pend isa.Class) bool {
+	var n, capacity int
+	switch {
+	case cls&isa.PushLAQ != 0:
+		n, capacity = c.laq.Len(), c.laq.Cap()
+	case cls&isa.PushSAQ != 0:
+		n, capacity = c.saq.Len(), c.saq.Cap()
+	case cls&isa.PushSDQ != 0:
+		n, capacity = c.sdq.Len(), c.sdq.Cap()
+	default:
+		return false
 	}
+	if pend&cls&isa.Pushes != 0 {
+		n++
+	}
+	return n >= capacity
 }
 
 // issue reads operands, computes the result, and moves the instruction from
@@ -605,91 +659,62 @@ func (c *CPU) issue() (stalled bool, bucket stats.CycleBucket) {
 		}
 		return false, stats.CycleFetchStarved
 	}
-	in := c.is.in
+	in := &c.is.in
+	cls := in.Class
 
-	// Structural hazards: room in every queue this instruction pushes,
+	// Structural hazards: room in the queue this instruction pushes,
 	// counting the in-flight push of the instruction currently in EX1.
-	pendingLAQ, pendingSAQ, pendingSDQ := 0, 0, 0
+	var pend isa.Class
 	if c.ex1.valid {
-		switch c.ex1.in.Op {
-		case isa.OpLD:
-			pendingLAQ++
-		case isa.OpST:
-			pendingSAQ++
-		}
-		if c.ex1.in.WritesSDQ() {
-			pendingSDQ++
-		}
+		pend = c.ex1.in.Class
 	}
-	switch {
-	case in.Op == isa.OpLD && c.laq.Len()+pendingLAQ >= c.laq.Cap(),
-		in.Op == isa.OpST && c.saq.Len()+pendingSAQ >= c.saq.Cap(),
-		in.WritesSDQ() && c.sdq.Len()+pendingSDQ >= c.sdq.Cap():
+	if c.pushBlocked(cls, pend) {
 		c.st.StallQueueFull++
 		return true, stats.CycleQueueFull
 	}
 
 	// R7 source operands pop the LDQ; stall until enough data arrived.
-	need := 0
-	readsA, readsB := c.operandReads(in)
-	if readsA && in.Ra == isa.QueueReg {
-		need++
-	}
-	if readsB && in.Rb == isa.QueueReg {
-		need++
-	}
-	if c.ldq.Len() < need {
+	if c.ldq.Len() < cls.LDQPops() {
 		c.st.StallLDQEmpty++
 		return true, stats.CycleLDQWait
 	}
-
-	readReg := func(r uint8) int32 {
-		if r == isa.QueueReg {
-			return c.ldq.MustPop()
-		}
-		return c.regs[r]
-	}
 	var a, b int32
-	if readsA {
-		a = readReg(in.Ra)
+	if cls&isa.ReadsRa != 0 {
+		if cls&isa.PopsRa != 0 {
+			a = c.ldq.MustPop()
+		} else {
+			a = c.regs[in.Ra]
+		}
 	}
-	if readsB {
-		b = readReg(in.Rb)
+	if cls&isa.ReadsRb != 0 {
+		if cls&isa.PopsRb != 0 {
+			b = c.ldq.MustPop()
+		} else {
+			b = c.regs[in.Rb]
+		}
 	}
 
-	s := c.is
-	c.is.valid = false
-	if err := c.compute(&s, a, b); err != nil {
-		c.execErr = err
-		return true, stats.CycleOther
-	}
+	// Move the latch first and compute in place: building the slot in a
+	// temporary and copying it afterwards makes the copy's wide loads wait
+	// on compute's narrow stores.
 	if c.ex1.valid {
 		panic("cpu: EX1 occupied at issue")
 	}
-	c.ex1 = s
-	return false, stats.CycleIssue
-}
-
-// operandReads reports which register operand fields the opcode actually
-// reads.
-func (c *CPU) operandReads(in isa.Inst) (ra, rb bool) {
-	switch in.Op {
-	case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSLL, isa.OpSRL, isa.OpSRA:
-		return true, true
-	case isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpSLLI, isa.OpSRLI, isa.OpSRAI,
-		isa.OpLD, isa.OpST, isa.OpSETBR:
-		return true, false
-	case isa.OpPBR:
-		return in.Cond != isa.CondAL, false
+	c.ex1 = c.is
+	c.is.valid = false
+	if err := c.compute(&c.ex1, a, b); err != nil {
+		c.ex1.valid = false
+		c.execErr = err
+		return true, stats.CycleOther
 	}
-	return false, false
+	return false, stats.CycleIssue
 }
 
 // compute performs the instruction's functional work at issue time and
 // records timed effects in the slot. Register and branch-register writes
 // apply immediately (full forwarding); queue pushes are recorded for EX1.
 func (c *CPU) compute(s *slot, a, b int32) error {
-	in := s.in
+	in := &s.in
 	writeReg := func(v int32) {
 		s.result = v
 		if in.Rd != isa.QueueReg {
@@ -772,21 +797,23 @@ func (c *CPU) decodeAndFetch() {
 		c.irqDraining = true
 		return
 	}
-	pc, w, ok := c.eng.Head()
+	pc, w, ok := c.eng.Take()
 	if !ok {
 		c.st.StallFetchEmpty++
 		c.fst.StarvedCycles++
 		return
 	}
-	c.eng.Consume()
-	var in isa.Inst
+	// Field by field: a slot literal is built on the stack and copied,
+	// and the copy stalls on the literal's partial stores. The fields
+	// left stale are written at issue before anything reads them.
+	c.id.valid = true
+	c.id.pc = pc
 	if idx := (pc - program.TextBase) / isa.WordBytes; c.dec != nil &&
 		pc%isa.WordBytes == 0 && idx < uint32(len(c.dec)) {
-		in = c.dec[idx]
+		c.id.in = c.dec[idx]
 	} else {
-		in = isa.Decode(w)
+		c.id.in = isa.Predecode(w)
 	}
-	c.id = slot{valid: true, pc: pc, in: in}
 	if c.windowOpen > 0 {
 		c.windowOpen--
 	}

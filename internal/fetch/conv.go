@@ -166,15 +166,17 @@ func (c *Conv) present(addr, nbytes uint32) bool {
 	return true
 }
 
-// Consume advances the stream past the supplied instruction.
-func (c *Conv) Consume() {
+// Take performs this cycle's lookup for the stream PC, as Head does, and on
+// a hit advances the stream past the instruction: one instAt and one
+// presence check per supplied instruction.
+func (c *Conv) Take() (uint32, uint32, bool) {
 	pc, ok := c.str.pc()
 	if !ok {
-		panic("fetch: Consume without a supplied instruction")
+		return 0, 0, false
 	}
 	word, n := c.instAt(pc)
 	if !c.present(pc, n) {
-		panic("fetch: Consume without a supplied instruction")
+		return 0, 0, false
 	}
 	c.st.SupplyCycles++
 	c.st.CacheHits++
@@ -186,6 +188,7 @@ func (c *Conv) Consume() {
 		c.capValid = false
 	}
 	c.str.consume(word, n)
+	return pc, word, true
 }
 
 // Resolve records a PBR outcome. The conventional cache keeps whatever it

@@ -51,8 +51,14 @@ func (h *harness) run(maxCycles uint64) []uint32 {
 			h.eng.Resolve(r.taken, r.target)
 		}
 		if !h.halted {
-			if pc, w, ok := h.eng.Head(); ok {
-				h.eng.Consume()
+			// Head is the read-only view of what Take supplies.
+			hpc, hw, hok := h.eng.Head()
+			pc, w, ok := h.eng.Take()
+			if ok != hok || pc != hpc || w != hw {
+				h.t.Fatalf("cycle %d: Head = (%#x, %#x, %v), Take = (%#x, %#x, %v)",
+					h.cycle, hpc, hw, hok, pc, w, ok)
+			}
+			if ok {
 				h.trace = append(h.trace, pc)
 				in := isa.Decode(w)
 				switch in.Op {

@@ -80,8 +80,8 @@ type Pipe struct {
 	st    stats.Fetch
 	str   streamer
 
-	iq  *queue.Queue[entry]
-	iqb *queue.Queue[entry]
+	iq  queue.Queue[entry] // held by value: one indirection less per use
+	iqb queue.Queue[entry]
 
 	fetchAddr uint32     // next stream address not yet queued or in flight
 	redirects []redirect // future fetch-path redirects, oldest first
@@ -115,6 +115,8 @@ type Pipe struct {
 
 	// intr is PipeConfig.Introspector.
 	intr *cache.Introspector
+
+	lineWords int // LineBytes / isa.WordBytes
 }
 
 // SetProbe attaches an observability probe. Call before the first Tick.
@@ -160,8 +162,10 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 		cache: cacheArr,
 		img:   img,
 		sys:   sys,
-		iq:    iq,
-		iqb:   iqb,
+		iq:    *iq,
+		iqb:   *iqb,
+
+		lineWords: cfg.LineBytes / isa.WordBytes,
 	}
 	p.str.reset(pc)
 	p.str.varlen = img.Native
@@ -228,9 +232,20 @@ func (p *Pipe) Head() (uint32, uint32, bool) {
 	return pc, ent.word, true
 }
 
-// Consume pops the IQ head and advances the stream.
-func (p *Pipe) Consume() {
-	ent := p.iq.MustPop()
+// Take pops the IQ head when it is the next PC of the dynamic stream and
+// advances the stream past it.
+func (p *Pipe) Take() (uint32, uint32, bool) {
+	pc, ok := p.str.pc()
+	if !ok {
+		return 0, 0, false
+	}
+	ent, ok := p.iq.Pop()
+	if !ok {
+		return 0, 0, false
+	}
+	if ent.addr != pc {
+		panic(fmt.Sprintf("fetch: IQ head %#x does not match stream PC %#x", ent.addr, pc))
+	}
 	p.st.SupplyCycles++
 	if p.str.consume(ent.word, ent.nbytes) {
 		// The stream jumped to a branch target. In the fixed format the
@@ -244,6 +259,7 @@ func (p *Pipe) Consume() {
 			p.flushWrongPath(p.str.nextPC)
 		}
 	}
+	return pc, ent.word, true
 }
 
 // Resolve is called from the CPU's execute stage with the oldest PBR's
@@ -273,8 +289,8 @@ func (p *Pipe) Resolve(taken bool, target uint32) {
 		return
 	}
 	// Drop queued wrong-path words (addresses at or past the window end).
-	p.trimQueue(p.iq, redirectAt)
-	p.trimQueue(p.iqb, redirectAt)
+	p.trimQueue(&p.iq, redirectAt)
+	p.trimQueue(&p.iqb, redirectAt)
 	// Kill the in-flight insert if it is fetching past the window.
 	if p.inflight && p.inflightInsert && p.inflightFrom >= redirectAt {
 		p.inflightInsert = false
@@ -391,16 +407,35 @@ func (p *Pipe) advanceFetch(next uint32) {
 
 // Tick advances the fetch engine one cycle: move words from the IQB to an
 // empty IQ, fill an empty IQB from the cache, and issue at most one
-// off-chip request when the cache misses.
+// off-chip request when the cache misses. Each phase runs only when the
+// IQ/IQB state lets it act.
 func (p *Pipe) Tick() {
 	if p.str.halted {
 		return
 	}
-	p.fillIQBFromCache()
-	p.refillIQ()
+	if p.fillReady() {
+		p.fillIQBFromCache()
+	}
+	if p.iq.Empty() && !p.iqb.Empty() {
+		p.refillIQ()
+	}
 	if p.probe != nil {
 		p.sampleQueues()
 	}
+}
+
+// fillReady reports whether the IQB wants supply this cycle: it is empty
+// (or, with DeepPrefetch, has a whole line of space free) and no insert is
+// already streaming into it.
+func (p *Pipe) fillReady() bool {
+	if p.cfg.DeepPrefetch {
+		if p.iqb.Cap()-p.iqb.Len() < p.lineWords {
+			return false
+		}
+	} else if !p.iqb.Empty() {
+		return false
+	}
+	return !p.inflight || !p.inflightInsert
 }
 
 // NextEvent reports whether the next Tick can change state (see
@@ -412,24 +447,15 @@ func (p *Pipe) NextEvent() uint64 {
 	if p.str.halted {
 		return mem.NoEvent
 	}
-	if p.fillActive() || p.refillActive() {
+	if p.fillReady() && p.fillActive() || p.refillActive() {
 		return 0
 	}
 	return mem.NoEvent
 }
 
 // fillActive mirrors fillIQBFromCache read-only: would it mutate anything?
+// Call only when fillReady.
 func (p *Pipe) fillActive() bool {
-	if p.cfg.DeepPrefetch {
-		if p.iqb.Cap()-p.iqb.Len() < p.cfg.LineBytes/isa.WordBytes {
-			return false
-		}
-	} else if !p.iqb.Empty() {
-		return false
-	}
-	if p.inflight && p.inflightInsert {
-		return false
-	}
 	if p.img.Native {
 		return p.fillNativeActive()
 	}
@@ -492,11 +518,8 @@ func (p *Pipe) sampleQueues() {
 
 // refillIQ moves words from the IQB into an empty IQ ("when the IQ becomes
 // empty, an attempt is made to fill it with the data contained in the
-// IQB").
+// IQB"). Call only with the IQ empty and the IQB not.
 func (p *Pipe) refillIQ() {
-	if !p.iq.Empty() || p.iqb.Empty() {
-		return
-	}
 	pc, ok := p.str.pc()
 	if !ok {
 		return // blocked on a branch outcome; IQB may hold wrong-path data
@@ -508,26 +531,15 @@ func (p *Pipe) refillIQ() {
 		// IQ yet.
 		return
 	}
-	for !p.iq.Full() && !p.iqb.Empty() {
-		p.iq.MustPush(p.iqb.MustPop())
-	}
+	p.iq.MoveFrom(&p.iqb)
 }
 
 // fillIQBFromCache keeps the IQB supplied: when it is empty (or, with
 // DeepPrefetch, whenever a full line of space is free) and no insert is in
-// flight, look up the line containing fetchAddr in the on-chip cache; on a
-// hit queue its words, on a miss go off-chip.
+// flight — the caller checks fillReady — look up the line containing
+// fetchAddr in the on-chip cache; on a hit queue its words, on a miss go
+// off-chip.
 func (p *Pipe) fillIQBFromCache() {
-	if p.cfg.DeepPrefetch {
-		if p.iqb.Cap()-p.iqb.Len() < p.cfg.LineBytes/isa.WordBytes {
-			return
-		}
-	} else if !p.iqb.Empty() {
-		return
-	}
-	if p.inflight && p.inflightInsert {
-		return // words are already streaming into the IQB
-	}
 	if p.img.Native {
 		p.fillNative()
 		return
@@ -717,7 +729,7 @@ func (p *Pipe) guaranteeEnd() (uint32, bool) {
 	if redirectAt, unresolved := p.str.oldestUnresolved(); unresolved {
 		return redirectAt, true
 	}
-	for _, q := range [...]*queue.Queue[entry]{p.iq, p.iqb} {
+	for _, q := range [...]*queue.Queue[entry]{&p.iq, &p.iqb} {
 		for i := 0; i < q.Len(); i++ {
 			e, _ := q.At(i)
 			if isa.WordIsBranch(e.word) {

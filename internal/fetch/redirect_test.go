@@ -31,9 +31,10 @@ func TestRedirectRestartsSupply(t *testing.T) {
 		for h.cycle = 1; h.cycle <= 30; h.cycle++ {
 			h.sys.BeginCycle(h.cycle)
 			eng.Tick()
-			if _, _, ok := eng.Head(); ok && len(h.trace) < 5 {
-				eng.Consume()
-				h.trace = append(h.trace, 0)
+			if len(h.trace) < 5 {
+				if _, _, ok := eng.Take(); ok {
+					h.trace = append(h.trace, 0)
+				}
 			}
 			h.sys.EndCycle()
 		}
@@ -73,8 +74,7 @@ func TestRedirectWithPendingBranchPanics(t *testing.T) {
 	for h.cycle = 1; h.cycle <= 200 && consumed < 15; h.cycle++ {
 		h.sys.BeginCycle(h.cycle)
 		eng.Tick()
-		if _, w, ok := eng.Head(); ok {
-			eng.Consume()
+		if _, w, ok := eng.Take(); ok {
 			consumed++
 			if isa.WordIsBranch(w) {
 				break

@@ -26,11 +26,13 @@ import (
 // Engine is the instruction-supply interface the CPU front end consumes.
 type Engine interface {
 	// Head returns the next instruction of the dynamic stream, if the
-	// engine can supply it this cycle.
+	// engine can supply it this cycle. Read-only: it neither counts nor
+	// emits, so the skip-ahead stall classifier may call it freely.
 	Head() (pc uint32, word uint32, ok bool)
-	// Consume removes the instruction returned by Head. Call at most once
-	// per cycle, only after Head reported ok.
-	Consume()
+	// Take supplies the next instruction of the dynamic stream, if the
+	// engine can supply it this cycle, and removes it from the stream:
+	// Head and the consumption in one call. Call at most once per cycle.
+	Take() (pc uint32, word uint32, ok bool)
 	// Resolve delivers the outcome of the oldest unresolved PBR (called
 	// by the CPU from the execute stage).
 	Resolve(taken bool, target uint32)

@@ -168,13 +168,19 @@ func (t *TIB) Head() (uint32, uint32, bool) {
 	return pc, ent.word, true
 }
 
-// Consume pops the buffer head and advances the stream.
-func (t *TIB) Consume() {
-	ent := t.buf.MustPop()
+// Take pops the buffer head when it is the next stream instruction and
+// advances the stream past it.
+func (t *TIB) Take() (uint32, uint32, bool) {
+	pc, w, ok := t.Head()
+	if !ok {
+		return 0, 0, false
+	}
+	t.buf.MustPop()
 	t.st.SupplyCycles++
-	if t.str.consume(ent.word, isa.WordBytes) {
+	if t.str.consume(w, isa.WordBytes) {
 		t.redirect(t.str.nextPC)
 	}
+	return pc, w, true
 }
 
 // Resolve records a PBR outcome. Unlike the PIPE engine, the TIB front end

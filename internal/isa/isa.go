@@ -336,42 +336,82 @@ func Validate(in Inst) error {
 	return nil
 }
 
-// ReadsLDQ reports whether executing the instruction pops the Load Data
-// Queue, i.e. whether it reads R7 as a source operand.
-func (in Inst) ReadsLDQ() bool {
+// Class is an instruction's timing class: which register operands issue
+// reads, how many of them pop the Load Data Queue (reads of R7), and which
+// architectural queue the EX1 stage pushes. It is the one definition of
+// what an opcode does to the queues; the pipeline's issue and execute
+// stages and the skip-ahead stall classifier all test its bits instead of
+// switching on opcodes every cycle. Resolve it with ClassOf, or with
+// Predecode alongside the decode.
+type Class uint8
+
+// Timing-class bits.
+const (
+	ReadsRa Class = 1 << iota // issue reads operand Ra
+	ReadsRb                   // issue reads operand Rb
+	PopsRa                    // Ra is R7 and read: issue pops the LDQ
+	PopsRb                    // Rb is R7 and read: issue pops the LDQ
+	PushLAQ                   // EX1 pushes the Load Address Queue (LD)
+	PushSAQ                   // EX1 pushes the Store Address Queue (ST)
+	PushSDQ                   // EX1 pushes the Store Data Queue (Rd is R7)
+
+	// Pushes is every push bit; an instruction has at most one.
+	Pushes = PushLAQ | PushSAQ | PushSDQ
+)
+
+// ClassOf resolves the timing class of an instruction. Undefined opcodes
+// have the zero class: they read nothing and push nothing (executing one
+// is an error the CPU reports at issue).
+func ClassOf(in Inst) Class {
+	var c Class
 	switch in.Op {
 	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSLL, OpSRL, OpSRA:
-		return in.Ra == QueueReg || in.Rb == QueueReg
-	case OpADDI, OpANDI, OpORI, OpXORI, OpSLLI, OpSRLI, OpSRAI, OpLD, OpST:
-		return in.Ra == QueueReg
+		c = ReadsRa | ReadsRb
+	case OpADDI, OpANDI, OpORI, OpXORI, OpSLLI, OpSRLI, OpSRAI:
+		c = ReadsRa
+	case OpLD:
+		c = ReadsRa | PushLAQ
+	case OpST:
+		c = ReadsRa | PushSAQ
 	case OpSETBR:
-		return in.Ra == QueueReg
+		c = ReadsRa
 	case OpPBR:
-		return in.Cond != CondAL && in.Ra == QueueReg
+		if in.Cond != CondAL {
+			c = ReadsRa // an unconditional branch ignores its register
+		}
 	}
-	return false
-}
-
-// WritesSDQ reports whether executing the instruction pushes the Store Data
-// Queue, i.e. whether it writes R7 as a destination.
-func (in Inst) WritesSDQ() bool {
 	switch in.Op {
 	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSLL, OpSRL, OpSRA,
 		OpADDI, OpANDI, OpORI, OpXORI, OpSLLI, OpSRLI, OpSRAI, OpLI, OpLUI:
-		return in.Rd == QueueReg
+		if in.Rd == QueueReg {
+			c |= PushSDQ
+		}
 	}
-	return false
+	if c&ReadsRa != 0 && in.Ra == QueueReg {
+		c |= PopsRa
+	}
+	if c&ReadsRb != 0 && in.Rb == QueueReg {
+		c |= PopsRb
+	}
+	return c
 }
 
-// HasDest reports whether the instruction writes a data register (including
-// R7, which is an SDQ push rather than a register write).
-func (in Inst) HasDest() bool {
-	switch in.Op {
-	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSLL, OpSRL, OpSRA,
-		OpADDI, OpANDI, OpORI, OpXORI, OpSLLI, OpSRLI, OpSRAI, OpLI, OpLUI:
-		return true
-	}
-	return false
+// LDQPops returns how many values issue pops from the Load Data Queue
+// (0, 1 or 2): the instruction cannot issue until that many have arrived.
+func (c Class) LDQPops() int { return int(c>>2&1) + int(c>>3&1) }
+
+// Decoded is an instruction together with its timing class: the form the
+// pipeline latches carry, and the element of a program image's shared
+// predecoded text (program.Image.Decoded).
+type Decoded struct {
+	Inst
+	Class Class
+}
+
+// Predecode decodes w and resolves its timing class.
+func Predecode(w uint32) Decoded {
+	in := Decode(w)
+	return Decoded{Inst: in, Class: ClassOf(in)}
 }
 
 // String renders the instruction in assembler syntax.

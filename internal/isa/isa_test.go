@@ -136,25 +136,25 @@ func TestQueueRegisterSemantics(t *testing.T) {
 		{Inst{Op: OpPBR, Cond: CondAL, Ra: 7}, false, false},
 		{Inst{Op: OpSETBR, Bn: 1, Ra: 7}, true, false},
 		{Inst{Op: OpNOP}, false, false},
+		// Only instructions with a destination register push the SDQ
+		// when that register is R7.
+		{Inst{Op: OpLD, Rd: 7}, false, false},
+		{Inst{Op: OpST, Rd: 7}, false, false},
+		{Inst{Op: OpPBR, Rd: 7}, false, false},
+		{Inst{Op: OpNOP, Rd: 7}, false, false},
+		{Inst{Op: OpSETB, Rd: 7}, false, false},
 	}
 	for _, c := range cases {
-		if got := c.in.ReadsLDQ(); got != c.readsLDQ {
-			t.Errorf("%v ReadsLDQ = %v, want %v", c.in, got, c.readsLDQ)
+		cls := ClassOf(c.in)
+		if got := cls.LDQPops() > 0; got != c.readsLDQ {
+			t.Errorf("%v pops the LDQ = %v, want %v", c.in, got, c.readsLDQ)
 		}
-		if got := c.in.WritesSDQ(); got != c.writesSDQ {
-			t.Errorf("%v WritesSDQ = %v, want %v", c.in, got, c.writesSDQ)
+		if got := cls&PushSDQ != 0; got != c.writesSDQ {
+			t.Errorf("%v pushes the SDQ = %v, want %v", c.in, got, c.writesSDQ)
 		}
 	}
-}
-
-func TestHasDest(t *testing.T) {
-	if !(Inst{Op: OpADD, Rd: 3}).HasDest() {
-		t.Error("ADD has a destination")
-	}
-	for _, in := range []Inst{{Op: OpLD}, {Op: OpST}, {Op: OpPBR}, {Op: OpNOP}, {Op: OpSETB}} {
-		if in.HasDest() {
-			t.Errorf("%s must not report a destination", in.Op)
-		}
+	if got := ClassOf(Inst{Op: OpADD, Rd: 1, Ra: 7, Rb: 7}).LDQPops(); got != 2 {
+		t.Errorf("ADD r1, r7, r7 pops %d LDQ values, want 2", got)
 	}
 }
 

@@ -151,16 +151,58 @@ func (h Handle) Queued() bool {
 	return h.r != nil && h.r.gen == h.gen && !h.r.accepted && !h.r.canceled
 }
 
+// inflight is one accepted transaction. Reads hold the input bus for
+// their transfers; stores only wait out the access time.
 type inflight struct {
 	req           *Request
-	firstTransfer uint64   // cycle of the first input-bus transfer
-	transfers     int      // number of input-bus transfers
-	done          uint64   // cycle OnComplete fires
-	delivered     int      // words delivered so far
-	word0         uint32   // single-word read data (the common case)
-	data          []uint32 // multi-word read data; both are snapshotted at
-	// acceptance so an in-flight load never observes a younger store
-	hasData bool
+	firstTransfer uint64 // cycle of the first input-bus transfer (reads)
+	transfers     uint64 // number of input-bus transfers (reads)
+	done          uint64 // cycle OnComplete fires
+	words         int    // words the read returns
+	delivered     int    // words delivered so far
+	// data is the read's words, snapshotted at acceptance so an in-flight
+	// load never observes a younger store. The ring slot keeps its
+	// capacity from one transaction to the next.
+	data []uint32
+}
+
+// txRing is a FIFO of in-flight transactions held by value: a
+// power-of-two ring that doubles when full, so after warm-up accepting
+// and retiring a transaction allocates nothing and copies no pointers.
+type txRing struct {
+	buf  []inflight
+	mask int // len(buf) - 1
+	head int
+	n    int
+}
+
+// push appends a slot at the tail and returns it. The slot holds whatever
+// transaction last used it: the caller sets every field it reads back.
+// The pointer is valid until the next push.
+func (q *txRing) push() *inflight {
+	if q.n == len(q.buf) { // full: double, keeping the transactions in order
+		grown := make([]inflight, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&q.mask]
+		}
+		q.buf, q.mask, q.head = grown, len(grown)-1, 0
+	}
+	f := &q.buf[(q.head+q.n)&q.mask]
+	q.n++
+	return f
+}
+
+// front returns the oldest transaction; the ring must not be empty.
+func (q *txRing) front() *inflight { return &q.buf[q.head] }
+
+// pop removes the oldest transaction and returns its request.
+func (q *txRing) pop() *Request {
+	f := &q.buf[q.head]
+	r := f.req
+	f.req = nil // the request goes back to its pool
+	q.head = (q.head + 1) & q.mask
+	q.n--
+	return r
 }
 
 type fpuOp struct {
@@ -184,28 +226,37 @@ type System struct {
 	cfg Config
 	st  *stats.Mem
 
-	cycle          uint64
-	queues         [numClasses]*queue.Queue[*Request]
-	inflight       []*inflight
+	cycle  uint64
+	queues [numClasses]queue.Queue[*Request]
+	// Accepted transactions, each list in acceptance order. Reads take
+	// the input bus one after another (each starts at or after the
+	// previous one's last transfer), so they transfer and complete in
+	// order and only the oldest can be on the bus. Stores complete a
+	// fixed access time after acceptance, so they too complete in order.
+	reads          txRing
+	stores         txRing
 	memFreeAt      uint64 // non-pipelined: earliest next acceptance
 	inputBusFreeAt uint64 // watermark of the next free input-bus cycle
+
+	// wordsPerTransfer is BusWidthBytes/4; busShift is log2 BusWidthBytes,
+	// so a transfer count is a shift rather than a divide.
+	wordsPerTransfer int
+	busShift         uint
 
 	// Cached earliest-action cycles, so the per-cycle BeginCycle phases
 	// and NextEvent are O(1) instead of scanning transaction lists. Both
 	// are conservative: they may be earlier than the true next action
 	// (the scan then runs and re-tightens them) but never later.
-	nextInflightAt uint64 // min over inflight of next transfer/completion
+	nextInflightAt uint64 // earliest next transfer or completion
 	nextFPUAt      uint64 // min readyAt over fpuOps
 
 	prio    [numClasses]int // arbitration order, fixed by the config
 	pending int             // queued requests across all classes (arbiter fast path)
 
-	// Free lists for the per-transaction bookkeeping objects. A simulated
-	// run issues hundreds of thousands of requests; recycling them keeps
-	// the hot loop allocation-free after warm-up. Single-threaded like the
-	// rest of the System.
+	// Free list of requests. A simulated run issues hundreds of thousands
+	// of them; recycling them keeps the hot loop allocation-free after
+	// warm-up. Single-threaded like the rest of the System.
 	freeReq []*Request
-	freeInf []*inflight
 
 	fpuA         uint32
 	fpuLastReady uint64
@@ -237,7 +288,11 @@ func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
 	if st == nil {
 		st = &stats.Mem{}
 	}
-	s := &System{cfg: cfg, st: st, nextInflightAt: NoEvent, nextFPUAt: NoEvent}
+	s := &System{cfg: cfg, st: st, nextInflightAt: NoEvent, nextFPUAt: NoEvent,
+		wordsPerTransfer: cfg.BusWidthBytes / 4}
+	for 1<<s.busShift < cfg.BusWidthBytes {
+		s.busShift++
+	}
 	for i := range s.ram {
 		s.ram[i] = &zeroPage
 	}
@@ -252,7 +307,7 @@ func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mem: request queue: %w", err)
 		}
-		s.queues[k] = q
+		s.queues[k] = *q
 	}
 	if cfg.InstrPriority {
 		s.prio = [...]int{classIFetch, classData, classFPUResult, classIPrefetch}
@@ -313,7 +368,7 @@ func (s *System) DebugState() string {
 	return fmt.Sprintf("mem{ifetch %d data %d fpu-result %d iprefetch %d inflight %d fpu-ops %d mem-free-at %d bus-free-at %d}",
 		s.queues[classIFetch].Len(), s.queues[classData].Len(),
 		s.queues[classFPUResult].Len(), s.queues[classIPrefetch].Len(),
-		len(s.inflight), len(s.fpuOps), s.memFreeAt, s.inputBusFreeAt)
+		s.reads.n+s.stores.n, len(s.fpuOps), s.memFreeAt, s.inputBusFreeAt)
 }
 
 // ReadWord returns the current memory word at a 4-byte-aligned address.
@@ -387,27 +442,40 @@ func (s *System) Tick(cycle uint64) {
 
 // BeginCycle starts cycle processing: completed FPU operations become
 // result-return requests and this cycle's input-bus transfers are
-// delivered. Call before the fetch engines and CPU tick.
+// delivered. Call before the fetch engines and CPU tick. A cycle with
+// nothing due costs no call: BeginCycle is small enough to inline, and the
+// phases run only once their cached event cycle has come.
 func (s *System) BeginCycle(cycle uint64) {
 	s.cycle = cycle
-	s.fpuComplete()
-	s.deliver()
+	if cycle >= s.nextFPUAt || cycle >= s.nextInflightAt {
+		s.begin()
+	}
+}
+
+// begin runs BeginCycle's phases that are due.
+func (s *System) begin() {
+	if s.cycle >= s.nextFPUAt {
+		s.fpuComplete()
+	}
+	if s.cycle >= s.nextInflightAt {
+		s.deliver()
+	}
 }
 
 // EndCycle runs the arbiter over everything submitted up to and including
 // this cycle, accepting at most one request. Call after the fetch engines
 // and CPU tick.
 func (s *System) EndCycle() {
-	s.accept()
+	if s.pending > 0 {
+		s.accept()
+	}
 }
 
 // fpuComplete turns finished FPU operations into result-return requests.
 // The result value rides in the request itself and is delivered straight to
-// FPUSink, so no per-operation closure is allocated.
+// FPUSink, so no per-operation closure is allocated. Call only once the
+// cycle has reached nextFPUAt.
 func (s *System) fpuComplete() {
-	if s.cycle < s.nextFPUAt {
-		return // no operation finishes this early (covers the empty case)
-	}
 	rest := s.fpuOps[:0]
 	next := NoEvent
 	for _, op := range s.fpuOps {
@@ -430,104 +498,70 @@ func (s *System) fpuComplete() {
 	s.nextFPUAt = next
 }
 
-// deliver performs this cycle's input-bus transfers and completions.
+// deliver performs this cycle's input-bus transfers and completions. Call
+// only once the cycle has reached nextInflightAt.
 func (s *System) deliver() {
-	if s.cycle < s.nextInflightAt {
-		return // nothing transfers or completes this early (covers empty)
+	cycle := s.cycle
+	for s.stores.n > 0 && s.stores.front().done <= cycle {
+		s.complete(s.stores.pop())
 	}
+	if s.reads.n > 0 {
+		if f := s.reads.front(); cycle >= f.firstTransfer && cycle < f.firstTransfer+f.transfers {
+			s.transfer(f)
+			if cycle >= f.done {
+				s.complete(s.reads.pop())
+			}
+		}
+	}
+	// The oldest entry of each ring acts first: a read's next transfer
+	// (the next cycle once inside its window), a store's completion.
 	next := NoEvent
-	kept := s.inflight[:0]
-	for _, f := range s.inflight {
-		if !f.req.Store && f.transfers > 0 {
-			// Which transfer slot (if any) lands on this cycle?
-			if s.cycle >= f.firstTransfer && s.cycle < f.firstTransfer+uint64(f.transfers) {
-				s.st.InputBusCycles++
-				wordsPerTransfer := s.cfg.BusWidthBytes / 4
-				totalWords := f.req.Size / 4
-				wordsBefore := f.delivered
-				for k := 0; k < wordsPerTransfer && f.delivered < totalWords; k++ {
-					addr := f.req.Addr + uint32(f.delivered*4)
-					var w uint32
-					switch {
-					case len(f.data) > 0:
-						w = f.data[f.delivered]
-					case f.hasData:
-						w = f.word0
-					}
-					if f.req.OnWord != nil {
-						f.req.OnWord(addr, w, f.req.Seq)
-					} else if f.req.Kind == stats.ReqFPUResult && s.FPUSink != nil {
-						s.FPUSink(f.req.Seq, w)
-					}
-					f.delivered++
-					s.st.WordsDelivered++
-				}
-				if f.delivered > wordsBefore {
-					if s.probe != nil {
-						s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: f.req.Addr,
-							Value: uint64(f.delivered - wordsBefore)})
-					}
-				}
-			}
-		}
-		if s.cycle >= f.done {
-			if f.req.OnComplete != nil {
-				f.req.OnComplete(f.req.Seq)
-			}
-			s.releaseRequest(f.req)
-			s.releaseInflight(f)
-			continue
-		}
-		// Next action for a kept entry: its completion, or the next
-		// input-bus transfer (cycle+1 once inside the transfer window).
-		na := f.done
-		if !f.req.Store && f.transfers > 0 && f.firstTransfer < na {
-			if s.cycle+1 >= f.firstTransfer {
-				na = s.cycle + 1
-			} else {
-				na = f.firstTransfer
-			}
-		}
-		if na < next {
+	if s.stores.n > 0 {
+		next = s.stores.front().done
+	}
+	if s.reads.n > 0 {
+		if na := max64(cycle+1, s.reads.front().firstTransfer); na < next {
 			next = na
 		}
-		kept = append(kept, f)
 	}
-	s.inflight = kept
 	s.nextInflightAt = next
 }
 
-// allocInflight draws a transaction record from the pool.
-func (s *System) allocInflight() *inflight {
-	if n := len(s.freeInf); n > 0 {
-		f := s.freeInf[n-1]
-		s.freeInf = s.freeInf[:n-1]
-		return f
+// transfer delivers one input-bus transfer of the read f: up to a bus
+// width of its words, each to its owner.
+func (s *System) transfer(f *inflight) {
+	s.st.InputBusCycles++
+	r := f.req
+	first := f.delivered
+	end := min(first+s.wordsPerTransfer, f.words)
+	if onWord := r.OnWord; onWord != nil {
+		for i, w := range f.data[first:end] {
+			onWord(r.Addr+uint32((first+i)*4), w, r.Seq)
+		}
+	} else if r.Kind == stats.ReqFPUResult && s.FPUSink != nil {
+		for _, w := range f.data[first:end] {
+			s.FPUSink(r.Seq, w)
+		}
 	}
-	return &inflight{}
+	f.delivered = end
+	s.st.WordsDelivered += uint64(end - first)
+	if s.probe != nil && end > first {
+		s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: r.Addr, Value: uint64(end - first)})
+	}
 }
 
-// releaseInflight recycles a completed transaction record, keeping the
-// multi-word data buffer's capacity.
-func (s *System) releaseInflight(f *inflight) {
-	f.req = nil
-	f.firstTransfer = 0
-	f.transfers = 0
-	f.done = 0
-	f.delivered = 0
-	f.word0 = 0
-	if f.data != nil {
-		f.data = f.data[:0]
+// complete fires a finished transaction's completion callback and
+// recycles its request.
+func (s *System) complete(r *Request) {
+	if r.OnComplete != nil {
+		r.OnComplete(r.Seq)
 	}
-	f.hasData = false
-	s.freeInf = append(s.freeInf, f)
+	s.releaseRequest(r)
 }
 
-// accept runs the priority arbiter and starts at most one request.
+// accept runs the priority arbiter and starts at most one request. Call
+// only with a request pending.
 func (s *System) accept() {
-	if s.pending == 0 {
-		return // nothing queued anywhere: the common idle cycle
-	}
 	if !s.cfg.Pipelined && s.cycle < s.memFreeAt && s.queues[classFPUResult].Len() == 0 {
 		// The memory is busy and nothing bus-only is waiting: the scan
 		// below could not accept anything, so skip it. (Canceled heads
@@ -537,7 +571,7 @@ func (s *System) accept() {
 		return
 	}
 	for _, class := range s.prio {
-		q := s.queues[class]
+		q := &s.queues[class]
 		if q.Len() == 0 {
 			continue
 		}
@@ -584,16 +618,15 @@ func (s *System) start(r *Request) {
 		if !s.cfg.Pipelined {
 			s.memFreeAt = done
 		}
-		f := s.allocInflight()
+		f := s.stores.push()
 		f.req = r
-		f.done = done
-		s.inflight = append(s.inflight, f)
+		f.done = done // a store uses no other field
 		if done < s.nextInflightAt {
 			s.nextInflightAt = done
 		}
 		return
 	}
-	n := (r.Size + s.cfg.BusWidthBytes - 1) / s.cfg.BusWidthBytes
+	n := uint64((r.Size + s.cfg.BusWidthBytes - 1) >> s.busShift)
 	var first uint64
 	if r.Kind == stats.ReqFPUResult {
 		// Produced by the FPU: needs only the input bus, one cycle
@@ -602,36 +635,29 @@ func (s *System) start(r *Request) {
 	} else {
 		first = max64(s.cycle+T, s.inputBusFreeAt)
 		if !s.cfg.Pipelined {
-			s.memFreeAt = first + uint64(n) - 1
+			s.memFreeAt = first + n - 1
 		}
 	}
-	s.inputBusFreeAt = first + uint64(n)
-	f := s.allocInflight()
+	s.inputBusFreeAt = first + n
+	f := s.reads.push()
 	f.req = r
 	f.firstTransfer = first
 	f.transfers = n
-	f.done = first + uint64(n) - 1
-	switch {
-	case r.Kind == stats.ReqFPUResult:
-		// The FPU produced the value; it rides in the request.
-		f.hasData = true
-		f.word0 = r.fpuResult
-	case r.Size == 4:
-		f.hasData = true
-		f.word0 = s.ReadWord(r.Addr)
-	default:
-		f.hasData = true
-		words := r.Size / 4
-		if cap(f.data) >= words {
-			f.data = f.data[:words]
-		} else {
-			f.data = make([]uint32, words)
-		}
+	f.done = first + n - 1
+	f.words = r.Size >> 2
+	f.delivered = 0
+	if cap(f.data) >= f.words {
+		f.data = f.data[:f.words]
+	} else {
+		f.data = make([]uint32, f.words)
+	}
+	if r.Kind == stats.ReqFPUResult {
+		f.data[0] = r.fpuResult // the FPU produced the value; it rides in the request
+	} else {
 		for i := range f.data {
 			f.data[i] = s.ReadWord(r.Addr + uint32(i*4))
 		}
 	}
-	s.inflight = append(s.inflight, f)
 	if first < s.nextInflightAt {
 		s.nextInflightAt = first
 	}
@@ -728,14 +754,15 @@ func (s *System) NextEvent() uint64 {
 // is idle. The simulator stops when the program has retired HALT and the
 // memory system is drained.
 func (s *System) Drained() bool {
-	for _, q := range s.queues {
+	for k := range s.queues {
+		q := &s.queues[k]
 		for i := 0; i < q.Len(); i++ {
 			if r, _ := q.At(i); !r.canceled {
 				return false
 			}
 		}
 	}
-	return len(s.inflight) == 0 && len(s.fpuOps) == 0
+	return s.reads.n == 0 && s.stores.n == 0 && len(s.fpuOps) == 0
 }
 
 func max64(a, b uint64) uint64 {

@@ -581,3 +581,36 @@ func TestQuickDeliveryInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTxRingFIFOAcrossGrowth keeps up to 20 transactions in a ring that
+// starts empty and doubles past 8 and 16, with its head at every offset:
+// pops return the requests in push order.
+func TestTxRingFIFOAcrossGrowth(t *testing.T) {
+	var q txRing
+	reqs := make([]Request, 64)
+	pushed, popped := 0, 0
+	for round := 0; round < 40; round++ {
+		for i := 0; i < round%5+1 && pushed-popped < 20 && pushed < len(reqs); i++ {
+			q.push().req = &reqs[pushed]
+			pushed++
+		}
+		for i := 0; i < round%3 && q.n > 0; i++ {
+			if r := q.pop(); r != &reqs[popped] {
+				t.Fatalf("round %d: popped request %p, want #%d", round, r, popped)
+			}
+			popped++
+		}
+		if q.n != pushed-popped {
+			t.Fatalf("round %d: ring holds %d, want %d", round, q.n, pushed-popped)
+		}
+		if q.n > 0 && q.front().req != &reqs[popped] {
+			t.Fatalf("round %d: front is not request #%d", round, popped)
+		}
+		if pushed == len(reqs) {
+			break
+		}
+	}
+	if len(q.buf) < 16 {
+		t.Fatalf("ring never grew past %d slots", len(q.buf))
+	}
+}

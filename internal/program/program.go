@@ -53,7 +53,7 @@ type Image struct {
 	// both are computed at most once and shared by every simulation
 	// running the image, including concurrent ones.
 	decodeOnce sync.Once
-	decoded    []isa.Inst
+	decoded    []isa.Decoded
 	fpOnce     sync.Once
 	fp         [sha256.Size]byte
 }
@@ -70,17 +70,19 @@ func (im *Image) InstWord(addr uint32) (uint32, bool) {
 	return im.Text[(addr-TextBase)/isa.WordBytes], true
 }
 
-// Decoded returns the text segment predecoded into isa.Inst form: the
-// instruction at byte address TextBase+4*i is Decoded()[i]. The table is
-// built once per image and shared read-only across all simulations of it,
-// so the per-fetch decode disappears from the simulator's hot loop. Only
-// meaningful for fixed-format images; native images keep decoding from the
-// queued instruction word (their text indices are not parcel addresses).
-func (im *Image) Decoded() []isa.Inst {
+// Decoded returns the text segment predecoded into isa.Decoded form, each
+// instruction with its timing class: the instruction at byte address
+// TextBase+4*i is Decoded()[i]. The table is built once per image and
+// shared read-only across all simulations of it, so neither the per-fetch
+// decode nor the opcode-to-queue classification is on the simulator's hot
+// loop. Only meaningful for fixed-format images; native images keep
+// decoding from the queued instruction word (their text indices are not
+// parcel addresses).
+func (im *Image) Decoded() []isa.Decoded {
 	im.decodeOnce.Do(func() {
-		tbl := make([]isa.Inst, len(im.Text))
+		tbl := make([]isa.Decoded, len(im.Text))
 		for i, w := range im.Text {
-			tbl[i] = isa.Decode(w)
+			tbl[i] = isa.Predecode(w)
 		}
 		im.decoded = tbl
 	})

@@ -108,11 +108,32 @@ func (q *Queue[T]) Pop() (T, bool) {
 // MustPop removes and returns the head element and panics if the queue is
 // empty.
 func (q *Queue[T]) MustPop() T {
-	v, ok := q.Pop()
-	if !ok {
+	// Written out rather than via Pop, which keeps it within the
+	// compiler's inlining budget on the simulator's hot paths.
+	if q.n == 0 {
 		panic("queue: pop from empty queue")
 	}
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero // release any references
+	q.head = q.wrap(q.head + 1)
+	q.n--
 	return v
+}
+
+// MoveFrom moves elements from the head of src to the tail of q, oldest
+// first, until q is full or src is empty. It is the bulk form of
+// q.MustPush(src.MustPop()) repeated.
+func (q *Queue[T]) MoveFrom(src *Queue[T]) {
+	n := min(len(q.buf)-q.n, src.n)
+	var zero T
+	for i := 0; i < n; i++ {
+		q.buf[q.wrap(q.head+q.n)] = src.buf[src.head]
+		src.buf[src.head] = zero // release any references
+		src.head = src.wrap(src.head + 1)
+		q.n++
+	}
+	src.n -= n
 }
 
 // Clear removes all elements.

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -190,5 +191,48 @@ func TestQuickFIFOOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMoveFromMatchesPushPop checks the bulk move against the per-element
+// loop it replaces, from every head offset of both rings and every fill.
+func TestMoveFromMatchesPushPop(t *testing.T) {
+	const dstCap, srcCap = 4, 6
+	for dstHead := 0; dstHead < dstCap; dstHead++ {
+		for srcHead := 0; srcHead < srcCap; srcHead++ {
+			for dstLen := 0; dstLen <= dstCap; dstLen++ {
+				for srcLen := 0; srcLen <= srcCap; srcLen++ {
+					build := func() (dst, src *Queue[int]) {
+						dst, src = mustNew[int](t, dstCap), mustNew[int](t, srcCap)
+						for i := 0; i < dstHead; i++ { // rotate the heads
+							dst.MustPush(0)
+							dst.MustPop()
+						}
+						for i := 0; i < srcHead; i++ {
+							src.MustPush(0)
+							src.MustPop()
+						}
+						for i := 0; i < dstLen; i++ {
+							dst.MustPush(100 + i)
+						}
+						for i := 0; i < srcLen; i++ {
+							src.MustPush(200 + i)
+						}
+						return dst, src
+					}
+					gotDst, gotSrc := build()
+					gotDst.MoveFrom(gotSrc)
+					wantDst, wantSrc := build()
+					for !wantDst.Full() && !wantSrc.Empty() {
+						wantDst.MustPush(wantSrc.MustPop())
+					}
+					if fmt.Sprint(gotDst.Slice(), gotSrc.Slice()) != fmt.Sprint(wantDst.Slice(), wantSrc.Slice()) {
+						t.Fatalf("heads %d/%d lens %d/%d: MoveFrom gave %v %v, want %v %v",
+							dstHead, srcHead, dstLen, srcLen,
+							gotDst.Slice(), gotSrc.Slice(), wantDst.Slice(), wantSrc.Slice())
+					}
+				}
+			}
+		}
 	}
 }

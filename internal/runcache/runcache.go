@@ -191,6 +191,20 @@ type Cache struct {
 	max   int
 	ll    *list.List // front = most recently used; values are *entry
 	items map[Key]*list.Element
+
+	// flights holds the one in-flight store read and simulation per key
+	// (RunSource): concurrent misses on a key wait for it instead of
+	// repeating it.
+	flightMu sync.Mutex
+	flights  map[Key]*flight
+}
+
+// flight is one in-flight RunSource miss. done closes once st and err are
+// final.
+type flight struct {
+	done chan struct{}
+	st   stats.Sim
+	err  error
 }
 
 // tierBox wraps a Tier for atomic.Pointer storage.
@@ -212,9 +226,10 @@ func New(maxEntries int) *Cache {
 		maxEntries = 1
 	}
 	c := &Cache{
-		max:   maxEntries,
-		ll:    list.New(),
-		items: make(map[Key]*list.Element),
+		max:     maxEntries,
+		ll:      list.New(),
+		items:   make(map[Key]*list.Element),
+		flights: make(map[Key]*flight),
 	}
 	c.enabled.Store(true)
 	return c
@@ -343,6 +358,12 @@ func (c *Cache) RunCtx(ctx context.Context, cfg core.Config, img *program.Image)
 // LRU, the persistent store (SetStore), or a fresh simulation. A store hit
 // is promoted into the memory tier; a fresh result is written through to
 // both tiers, so a restarted process finds it on disk.
+//
+// Concurrent misses on one key share one store read and one simulation:
+// the first caller does the work and the others wait for it and receive
+// its result (or its error) with source SourceMemory, as if they had come
+// a moment later and hit the memory tier. A waiter cannot give up early;
+// neither can the simulation it waits for.
 func (c *Cache) RunSource(ctx context.Context, cfg core.Config, img *program.Image) (*stats.Sim, Source, error) {
 	if c == nil || !c.enabled.Load() {
 		st, err := simulate(ctx, cfg, img)
@@ -355,9 +376,39 @@ func (c *Cache) RunSource(ctx context.Context, cfg core.Config, img *program.Ima
 		look.End()
 		return &st, SourceMemory, nil
 	}
+	c.flightMu.Lock()
+	if f, ok := c.flights[k]; ok {
+		c.flightMu.Unlock()
+		look.SetAttr("outcome", "shared")
+		look.End()
+		<-f.done
+		if f.err != nil {
+			return nil, SourceSimulated, f.err
+		}
+		st := f.st
+		return &st, SourceMemory, nil
+	}
+	f := &flight{done: make(chan struct{})}
+	c.flights[k] = f
+	c.flightMu.Unlock()
+	defer func() {
+		c.flightMu.Lock()
+		delete(c.flights, k)
+		c.flightMu.Unlock()
+		close(f.done)
+	}()
+	// A flight that ended between the Get above and this one's start has
+	// already put its result in memory.
+	if st, ok := c.peek(k); ok {
+		f.st = st
+		look.SetAttr("outcome", "hit")
+		look.End()
+		return &st, SourceMemory, nil
+	}
 	if t := c.tier(); t != nil {
 		if st, ok := t.Lookup(k); ok {
 			c.Put(k, &st)
+			f.st = st
 			look.SetAttr("outcome", "store-hit")
 			look.End()
 			return &st, SourceStore, nil
@@ -367,13 +418,25 @@ func (c *Cache) RunSource(ctx context.Context, cfg core.Config, img *program.Ima
 	look.End()
 	st, err := simulate(ctx, cfg, img)
 	if err != nil {
+		f.err = err
 		return nil, SourceSimulated, err
 	}
+	f.st = *st
 	c.Put(k, st)
 	if t := c.tier(); t != nil {
 		t.Store(k, cfg, st)
 	}
 	return st, SourceSimulated, nil
+}
+
+// peek is Get without counting a hit or miss or refreshing recency.
+func (c *Cache) peek(k Key) (stats.Sim, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return el.Value.(*entry).st, true
+	}
+	return stats.Sim{}, false
 }
 
 // simulate is one uncached simulation wrapped in a "simulate" span.

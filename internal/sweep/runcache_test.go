@@ -109,7 +109,10 @@ func TestRunPipeCachedMatchesFresh(t *testing.T) {
 // processes sharing a -store-dir would. The rerun must simulate nothing
 // (no store writes, one store hit per record the first run archived) and
 // report the same metrics, per-point attribution and 3C cache block
-// included: a store hit carries the complete statistics.
+// included: a store hit carries the complete statistics. Two workers run
+// the experiment twice side by side, so every key is missed by both at
+// about the same time: it must still be simulated, and read back from
+// the store, once.
 func TestRunStoreServesRerun(t *testing.T) {
 	store, err := runstore.Open(t.TempDir(), runstore.Options{})
 	if err != nil {
@@ -123,7 +126,7 @@ func TestRunStoreServesRerun(t *testing.T) {
 	}
 	metrics := func() []byte {
 		runcache.Default.Reset()
-		sum := RunAll([]Experiment{e}, Options{Workers: 1})
+		sum := RunAll([]Experiment{e, e}, Options{Workers: 2})
 		if err := sum.Err(); err != nil {
 			t.Fatal(err)
 		}

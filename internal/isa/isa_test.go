@@ -136,13 +136,6 @@ func TestQueueRegisterSemantics(t *testing.T) {
 		{Inst{Op: OpPBR, Cond: CondAL, Ra: 7}, false, false},
 		{Inst{Op: OpSETBR, Bn: 1, Ra: 7}, true, false},
 		{Inst{Op: OpNOP}, false, false},
-		// Only instructions with a destination register push the SDQ
-		// when that register is R7.
-		{Inst{Op: OpLD, Rd: 7}, false, false},
-		{Inst{Op: OpST, Rd: 7}, false, false},
-		{Inst{Op: OpPBR, Rd: 7}, false, false},
-		{Inst{Op: OpNOP, Rd: 7}, false, false},
-		{Inst{Op: OpSETB, Rd: 7}, false, false},
 	}
 	for _, c := range cases {
 		cls := ClassOf(c.in)
@@ -155,6 +148,20 @@ func TestQueueRegisterSemantics(t *testing.T) {
 	}
 	if got := ClassOf(Inst{Op: OpADD, Rd: 1, Ra: 7, Rb: 7}).LDQPops(); got != 2 {
 		t.Errorf("ADD r1, r7, r7 pops %d LDQ values, want 2", got)
+	}
+}
+
+// TestHasDest checks that only instructions with a destination register
+// push the SDQ when that register is R7.
+func TestHasDest(t *testing.T) {
+	if ClassOf(Inst{Op: OpADD, Rd: 7})&PushSDQ == 0 {
+		t.Error("ADD has a destination: Rd = R7 must push the SDQ")
+	}
+	for _, in := range []Inst{{Op: OpLD}, {Op: OpST}, {Op: OpPBR}, {Op: OpNOP}, {Op: OpSETB}} {
+		in.Rd = 7
+		if ClassOf(in)&PushSDQ != 0 {
+			t.Errorf("%s has no destination and must not push the SDQ", in.Op)
+		}
 	}
 }
 

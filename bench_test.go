@@ -161,18 +161,26 @@ func BenchmarkPostMortemReplay(b *testing.B) {
 // BenchmarkMissClassOverhead prices the cache-introspection layer. "off"
 // is the default configuration — one nil check at each engine accounting
 // site. "on" feeds every reference through the two shadow models (infinite
-// seen-set plus equal-size FA-LRU); that cost is only paid when
-// Config.CacheStats is requested. "on-64B" is the
+// seen-set and the equal-size FA-LRU, sharing one paged line table); that
+// cost is only paid when Config.CacheStats is requested. "on-64B" is the
 // worst case for the shadows: the thrashing small cache misses constantly,
-// so the classification switch and hot-PC map run at peak rate.
+// so the classification switch and hot-PC map run at peak rate. "conv-on"
+// is the conventional always-prefetch cache with introspection on, which
+// sees a reference every supplied instruction; with the PIPE inputs here
+// and in BenchmarkSkipAhead it rounds out the profile scripts/pgo.sh
+// records.
 func BenchmarkMissClassOverhead(b *testing.B) {
 	uncached(b)
 	prog, _, err := pipesim.LivermoreProgram()
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, cacheBytes int, on bool) {
+	run := func(b *testing.B, cacheBytes int, on bool, conv bool) {
 		cfg := pipesim.DefaultConfig()
+		if conv {
+			cfg.Strategy = pipesim.StrategyConventional
+			cfg.LineBytes = sweep.ConvLineBytes
+		}
 		cfg.CacheBytes = cacheBytes
 		cfg.CacheStats = on
 		var cycles uint64
@@ -185,9 +193,10 @@ func BenchmarkMissClassOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles), "sim_cycles")
 	}
-	b.Run("off", func(b *testing.B) { run(b, 128, false) })
-	b.Run("on", func(b *testing.B) { run(b, 128, true) })
-	b.Run("on-64B", func(b *testing.B) { run(b, 64, true) })
+	b.Run("off", func(b *testing.B) { run(b, 128, false, false) })
+	b.Run("on", func(b *testing.B) { run(b, 128, true, false) })
+	b.Run("on-64B", func(b *testing.B) { run(b, 64, true, false) })
+	b.Run("conv-on", func(b *testing.B) { run(b, 128, true, true) })
 }
 
 // BenchmarkRunHookOverhead guards the per-run metrics hook the same way

@@ -238,6 +238,13 @@ func renderCatalog(r *compare.CatalogReport) {
 		}
 		fmt.Printf("  drift    %s\n", d)
 	}
+	for i, d := range r.BlockDrift {
+		if i == 10 {
+			fmt.Printf("(… %d more drifted fields)\n", len(r.BlockDrift)-i)
+			break
+		}
+		fmt.Printf("  drift    %s\n", d)
+	}
 	for i, p := range r.MissingInB {
 		if i == 10 {
 			fmt.Printf("(… %d more missing points)\n", len(r.MissingInB)-i)

@@ -16,6 +16,12 @@ package cache
 //     a real-array miss that this shadow would have hit is a conflict of
 //     the direct-mapped placement; a miss in both is a capacity miss.
 //
+// Both shadows share one table indexed by line number (address >> line
+// shift), kept in pages allocated on first touch, so a machine pays only
+// for the pages its code spans. An entry is the line's FA-LRU node, or
+// "seen but not resident", or "never seen": one lookup answers both
+// shadows, and a reference touches no hash map.
+//
 // The shadows are fed from the fetch engines' own hit/miss accounting
 // points (not from the array's Lookup counters), so the per-class counts
 // sum exactly to the engine's CacheMisses statistic by construction. The
@@ -36,8 +42,8 @@ type Introspector struct {
 	lineShift uint32 // log2 of the line size
 	setMask   uint32 // line count - 1
 
-	seen map[uint32]struct{} // infinite shadow: line addresses ever referenced
-	fa   faLRU               // equal-size fully-associative LRU shadow
+	pages []*[pageLines]int32 // line table by line number; nil until touched
+	fa    faLRU               // equal-size fully-associative LRU shadow
 
 	sets    []stats.CacheSetStats
 	lineHit []bool // resident line of each set has hit since its fill
@@ -64,7 +70,6 @@ func NewIntrospector(sizeBytes, lineBytes, topN int) *Introspector {
 	in := &Introspector{
 		lineShift: log2u(uint32(lineBytes)),
 		setMask:   uint32(nLines - 1),
-		seen:      make(map[uint32]struct{}),
 		sets:      make([]stats.CacheSetStats, nLines),
 		lineHit:   make([]bool, nLines),
 		hot:       make(map[uint32]uint64),
@@ -74,13 +79,40 @@ func NewIntrospector(sizeBytes, lineBytes, topN int) *Introspector {
 	return in
 }
 
+// Line-table entries: a positive entry is the line's FA-LRU node.
+const (
+	lineUnseen  = 0  // never referenced
+	lineEvicted = -1 // referenced, but the FA shadow has since evicted it
+)
+
+// The line table's page size, in lines.
+const (
+	pageShift = 9
+	pageLines = 1 << pageShift
+)
+
+// entry returns line's table entry, allocating its page on first touch.
+// The pointer stays valid: pages never move.
+func (in *Introspector) entry(line uint32) *int32 {
+	pg := int(line >> pageShift)
+	if pg >= len(in.pages) {
+		in.pages = append(in.pages, make([]*[pageLines]int32, pg+1-len(in.pages))...)
+	}
+	p := in.pages[pg]
+	if p == nil {
+		p = new([pageLines]int32)
+		in.pages[pg] = p
+	}
+	return &p[line&(pageLines-1)]
+}
+
 // Reference observes one demand reference of the fetch engine at its own
 // hit/miss accounting point and returns the miss class (MissUnclassified
 // for a hit). Both shadows see every reference — hits included — so the
 // fully-associative shadow's LRU order tracks true recency.
 func (in *Introspector) Reference(addr uint32, hit bool) stats.MissClass {
-	line := addr >> in.lineShift << in.lineShift
-	set := int(addr >> in.lineShift & in.setMask)
+	line := addr >> in.lineShift
+	set := int(line & in.setMask)
 	s := &in.sets[set]
 	s.Accesses++
 	if hit && in.fa.isMRU(line) {
@@ -90,28 +122,48 @@ func (in *Introspector) Reference(addr uint32, hit bool) stats.MissClass {
 		in.lineHit[set] = true
 		return stats.MissUnclassified
 	}
+	e := in.entry(line)
 	class := stats.MissUnclassified
-	_, seen := in.seen[line]
 	if hit {
 		in.lineHit[set] = true
 	} else {
 		s.Misses++
 		in.hot[addr]++
 		switch {
-		case !seen:
+		case *e == lineUnseen:
 			class = stats.MissCompulsory
-		case in.fa.contains(line):
+		case *e > 0:
 			class = stats.MissConflict
 		default:
 			class = stats.MissCapacity
 		}
 		in.classes[class]++
 	}
-	if !seen {
-		in.seen[line] = struct{}{}
-	}
-	in.fa.reference(line)
+	in.touch(e, line)
 	return class
+}
+
+// touch makes line, whose table entry is e, the FA shadow's most recently
+// used line, inserting it (and evicting the LRU line if full) when absent.
+func (in *Introspector) touch(e *int32, line uint32) {
+	l := &in.fa
+	if i := *e; i > 0 {
+		l.unlink(i)
+		l.pushFront(i)
+		return
+	}
+	var i int32
+	if len(l.nodes) <= l.cap {
+		i = int32(len(l.nodes))
+		l.nodes = append(l.nodes, faNode{line: line})
+	} else {
+		i = l.nodes[0].prev
+		l.unlink(i)
+		*in.entry(l.nodes[i].line) = lineEvicted
+		l.nodes[i].line = line
+	}
+	*e = i
+	l.pushFront(i)
 }
 
 // TrackFill records that the array claimed frame `set` for a new tag,
@@ -168,19 +220,18 @@ func (in *Introspector) Stats() *stats.CacheStats {
 	return out
 }
 
-// faLRU is the fully-associative LRU shadow: a map plus an index-linked
-// circular list (node 0 is the sentinel), preallocated to the cache's
-// line count so steady-state references allocate nothing.
+// faLRU is the fully-associative LRU shadow: an index-linked circular
+// list (node 0 is the sentinel) of up to cap line numbers, whose nodes the
+// line table points at. It is preallocated to the cache's line count, so
+// steady-state references allocate nothing.
 type faLRU struct {
 	cap   int
-	index map[uint32]int
 	nodes []faNode // nodes[0] is the sentinel; head.next = MRU, head.prev = LRU
-	free  []int
 }
 
 type faNode struct {
-	prev, next int
-	addr       uint32
+	prev, next int32
+	line       uint32
 }
 
 func (l *faLRU) init(capacity int) {
@@ -188,57 +239,22 @@ func (l *faLRU) init(capacity int) {
 		capacity = 1
 	}
 	l.cap = capacity
-	l.index = make(map[uint32]int, capacity)
 	l.nodes = make([]faNode, 1, capacity+1)
-	l.nodes[0] = faNode{prev: 0, next: 0}
 }
 
 // isMRU reports whether line is the most recently referenced line.
 func (l *faLRU) isMRU(line uint32) bool {
 	i := l.nodes[0].next
-	return i != 0 && l.nodes[i].addr == line
+	return i != 0 && l.nodes[i].line == line
 }
 
-// contains reports whether line is resident, without touching recency.
-func (l *faLRU) contains(line uint32) bool {
-	_, ok := l.index[line]
-	return ok
-}
-
-// reference touches line as most recently used, inserting it (and evicting
-// the LRU line if full) when absent.
-func (l *faLRU) reference(line uint32) {
-	if i, ok := l.index[line]; ok {
-		l.unlink(i)
-		l.pushFront(i)
-		return
-	}
-	if len(l.index) >= l.cap {
-		lru := l.nodes[0].prev
-		l.unlink(lru)
-		delete(l.index, l.nodes[lru].addr)
-		l.free = append(l.free, lru)
-	}
-	var i int
-	if n := len(l.free); n > 0 {
-		i = l.free[n-1]
-		l.free = l.free[:n-1]
-		l.nodes[i].addr = line
-	} else {
-		i = len(l.nodes)
-		l.nodes = append(l.nodes, faNode{addr: line})
-	}
-	l.index[line] = i
-	l.pushFront(i)
-}
-
-func (l *faLRU) unlink(i int) {
+func (l *faLRU) unlink(i int32) {
 	n := &l.nodes[i]
 	l.nodes[n.prev].next = n.next
 	l.nodes[n.next].prev = n.prev
 }
 
-func (l *faLRU) pushFront(i int) {
+func (l *faLRU) pushFront(i int32) {
 	head := &l.nodes[0]
 	n := &l.nodes[i]
 	n.prev, n.next = 0, head.next

@@ -142,21 +142,29 @@ func TestIntrospectorHotPCs(t *testing.T) {
 }
 
 // TestFALRUSingleLine: the degenerate one-line shadow still behaves as a
-// correct LRU of capacity one.
+// correct LRU of capacity one, and the line table tracks which lines it
+// holds, which it has evicted and which it never saw.
 func TestFALRUSingleLine(t *testing.T) {
-	var l faLRU
-	l.init(1)
-	l.reference(0x10)
-	if !l.contains(0x10) {
+	in := NewIntrospector(16, 16, 0)
+	ref := func(line uint32) { in.touch(in.entry(line), line) }
+	state := func(line uint32) int32 { return *in.entry(line) }
+	ref(0x10)
+	if state(0x10) <= 0 {
 		t.Fatal("0x10 missing after reference")
 	}
-	l.reference(0x20)
-	if l.contains(0x10) || !l.contains(0x20) {
-		t.Errorf("capacity-1 LRU holds 0x10=%v 0x20=%v, want false/true", l.contains(0x10), l.contains(0x20))
+	ref(0x20)
+	if state(0x10) != lineEvicted || state(0x20) <= 0 {
+		t.Errorf("capacity-1 LRU holds 0x10=%d 0x20=%d, want evicted/resident", state(0x10), state(0x20))
 	}
-	l.reference(0x20) // re-touch must not grow or corrupt the list
-	l.reference(0x30)
-	if l.contains(0x20) || !l.contains(0x30) {
-		t.Errorf("after 0x30: 0x20=%v 0x30=%v, want false/true", l.contains(0x20), l.contains(0x30))
+	ref(0x20) // re-touch must not grow or corrupt the list
+	ref(0x30)
+	if state(0x20) != lineEvicted || state(0x30) <= 0 {
+		t.Errorf("after 0x30: 0x20=%d 0x30=%d, want evicted/resident", state(0x20), state(0x30))
+	}
+	if state(0x40) != lineUnseen {
+		t.Errorf("untouched line 0x40 = %d, want unseen", state(0x40))
+	}
+	if len(in.fa.nodes) != 2 {
+		t.Errorf("FA shadow has %d nodes, want the sentinel plus one", len(in.fa.nodes))
 	}
 }

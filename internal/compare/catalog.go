@@ -6,7 +6,10 @@ package compare
 // produce identical cycle counts at every (experiment, series, x) point;
 // any difference is simulated-metric drift — a semantic change to the
 // simulator — as opposed to host-time noise, which lives only in the
-// elapsed_seconds fields this comparer ignores. The CI golden-catalog
+// elapsed_seconds fields this comparer ignores. The same holds for each
+// experiment's summed cycle attribution and 3C miss totals (its
+// "attribution" and "cache" blocks), which are compared field by field
+// whenever both documents carry them. The CI golden-catalog
 // gate runs the catalog, diffs it against the committed golden archive
 // with `pipesim diff -fail-on-drift`, and fails loudly on any drift.
 
@@ -39,7 +42,23 @@ type sweepDoc struct {
 				Valid  bool   `json:"valid"`
 			} `json:"points"`
 		} `json:"series"`
+		Attribution map[string]uint64 `json:"attribution"`
+		Cache       map[string]uint64 `json:"cache"`
 	} `json:"outcomes"`
+}
+
+// BlockDelta is one field of an experiment's attribution or cache block
+// whose value drifted.
+type BlockDelta struct {
+	Experiment string `json:"experiment"`
+	Block      string `json:"block"` // "attribution" or "cache"
+	Field      string `json:"field"`
+	A          uint64 `json:"a"`
+	B          uint64 `json:"b"`
+}
+
+func (d BlockDelta) String() string {
+	return fmt.Sprintf("%s %s.%s: %d -> %d", d.Experiment, d.Block, d.Field, d.A, d.B)
 }
 
 // PointDelta is one catalog point whose simulated value drifted.
@@ -69,6 +88,13 @@ type CatalogReport struct {
 	// absolute delta descending.
 	Drift []PointDelta `json:"drift,omitempty"`
 
+	// BlocksCompared counts the experiment attribution and cache blocks
+	// present on both sides; BlockDrift lists every field of them that
+	// differs, by experiment, block and field. A block absent from either
+	// side is not compared.
+	BlocksCompared int          `json:"blocks_compared"`
+	BlockDrift     []BlockDelta `json:"block_drift,omitempty"`
+
 	// MissingInB lists "experiment/series@x" points present in A (the
 	// golden archive) but absent or invalid in B — a lost experiment is
 	// drift too. MissingInA lists points new in B (an added experiment);
@@ -79,10 +105,10 @@ type CatalogReport struct {
 	Summary string `json:"summary"`
 }
 
-// Clean reports whether the gate should pass: no drifted points and
-// nothing lost relative to the golden side.
+// Clean reports whether the gate should pass: no drifted points or block
+// fields and nothing lost relative to the golden side.
 func (r *CatalogReport) Clean() bool {
-	return len(r.Drift) == 0 && len(r.MissingInB) == 0
+	return len(r.Drift) == 0 && len(r.BlockDrift) == 0 && len(r.MissingInB) == 0
 }
 
 type catalogPoint struct {
@@ -166,8 +192,51 @@ func CompareSweepJSON(a, b []byte) (*CatalogReport, error) {
 		r.MissingInA = append(r.MissingInA, k.String())
 	}
 	sort.SliceStable(r.Drift, func(i, j int) bool { return abs64(r.Drift[i].Delta) > abs64(r.Drift[j].Delta) })
+	compareBlocks(r, da, db)
 	r.Summary = summarizeCatalog(r)
 	return r, nil
+}
+
+// compareBlocks diffs the attribution and cache blocks of every experiment
+// that carries them on both sides.
+func compareBlocks(r *CatalogReport, da, db *sweepDoc) {
+	type blocks struct{ attribution, cache map[string]uint64 }
+	inB := make(map[string]blocks)
+	for _, o := range db.Outcomes {
+		inB[o.ID] = blocks{o.Attribution, o.Cache}
+	}
+	for _, o := range da.Outcomes {
+		b, ok := inB[o.ID]
+		if !ok {
+			continue
+		}
+		for _, blk := range []struct {
+			name string
+			a, b map[string]uint64
+		}{{"attribution", o.Attribution, b.attribution}, {"cache", o.Cache, b.cache}} {
+			if blk.a == nil || blk.b == nil {
+				continue
+			}
+			r.BlocksCompared++
+			fields := make([]string, 0, len(blk.a))
+			for f := range blk.a {
+				fields = append(fields, f)
+			}
+			for f := range blk.b {
+				if _, ok := blk.a[f]; !ok {
+					fields = append(fields, f)
+				}
+			}
+			sort.Strings(fields)
+			for _, f := range fields {
+				av, aok := blk.a[f]
+				bv, bok := blk.b[f]
+				if av != bv || aok != bok {
+					r.BlockDrift = append(r.BlockDrift, BlockDelta{Experiment: o.ID, Block: blk.name, Field: f, A: av, B: bv})
+				}
+			}
+		}
+	}
 }
 
 func decodeSweep(raw []byte, side string) (*sweepDoc, error) {
@@ -183,12 +252,20 @@ func decodeSweep(raw []byte, side string) (*sweepDoc, error) {
 
 func summarizeCatalog(r *CatalogReport) string {
 	if r.Clean() && len(r.MissingInA) == 0 {
+		if r.BlocksCompared > 0 {
+			return fmt.Sprintf("catalogs are cycle-identical across %d points, and %d attribution and cache blocks match.",
+				r.PointsCompared, r.BlocksCompared)
+		}
 		return fmt.Sprintf("catalogs are cycle-identical across %d points.", r.PointsCompared)
 	}
 	var parts []string
 	if len(r.Drift) > 0 {
 		parts = append(parts, fmt.Sprintf("%d of %d points drifted (worst: %s)",
 			len(r.Drift), r.PointsCompared, r.Drift[0].String()))
+	}
+	if len(r.BlockDrift) > 0 {
+		parts = append(parts, fmt.Sprintf("%d attribution or cache fields drifted (first: %s)",
+			len(r.BlockDrift), r.BlockDrift[0].String()))
 	}
 	if len(r.MissingInB) > 0 {
 		parts = append(parts, fmt.Sprintf("%d golden points are missing from the candidate (first: %s)",

@@ -1,6 +1,7 @@
 package compare_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,5 +144,69 @@ func TestCatalogBadSchema(t *testing.T) {
 	}
 	if _, err := compare.CompareSweepJSON(good, bad); err == nil {
 		t.Error("foreign schema on side b accepted")
+	}
+}
+
+// blockOutcome is goldenOutcome carrying attribution and cache blocks,
+// with the cache block's capacity count set to capacity.
+func blockOutcome(capacity int) string {
+	return fmt.Sprintf(`{
+        "id": "figure-4", "ok": true,
+        "series": [{"label": "pipe", "points": [
+            {"x": 64, "cycles": 1000, "valid": true},
+            {"x": 128, "cycles": 900, "valid": true}
+        ]}],
+        "attribution": {"issue": 1200, "fetch_starved": 500, "ldq_wait": 200, "queue_full": 0, "drain": 0, "other": 0},
+        "cache": {"compulsory": 40, "capacity": %d, "conflict": 7, "evictions": 90, "dead_evictions": 30}
+    }`, capacity)
+}
+
+// TestCatalogBlocksIdentical: identical attribution and cache blocks are
+// compared and clean.
+func TestCatalogBlocksIdentical(t *testing.T) {
+	doc := sweepJSON(blockOutcome(50))
+	r, err := compare.CompareSweepJSON(doc, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Clean() || r.BlocksCompared != 2 {
+		t.Fatalf("self-compare: clean=%v blocks compared %d, want clean and 2: %+v", r.Clean(), r.BlocksCompared, r)
+	}
+	if !strings.Contains(r.Summary, "2 attribution and cache blocks match") {
+		t.Errorf("summary = %q", r.Summary)
+	}
+}
+
+// TestCatalogBlockDrift: one 3C field changed with every cycle count
+// equal is drift, and fails the gate.
+func TestCatalogBlockDrift(t *testing.T) {
+	r, err := compare.CompareSweepJSON(sweepJSON(blockOutcome(50)), sweepJSON(blockOutcome(51)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Clean() {
+		t.Fatal("a changed cache.capacity reported clean")
+	}
+	want := compare.BlockDelta{Experiment: "figure-4", Block: "cache", Field: "capacity", A: 50, B: 51}
+	if len(r.Drift) != 0 || len(r.BlockDrift) != 1 || r.BlockDrift[0] != want {
+		t.Fatalf("point drift %v, block drift %v; want only %v", r.Drift, r.BlockDrift, want)
+	}
+	if !strings.Contains(r.Summary, "figure-4 cache.capacity: 50 -> 51") {
+		t.Errorf("summary does not name the field: %q", r.Summary)
+	}
+}
+
+// TestCatalogMissingBlockNotDrift: a document without the blocks (an older
+// golden, or an experiment that reports none) compares on cycles alone.
+func TestCatalogMissingBlockNotDrift(t *testing.T) {
+	for _, pair := range [][2]string{{goldenOutcome, blockOutcome(50)}, {blockOutcome(50), goldenOutcome}} {
+		r, err := compare.CompareSweepJSON(sweepJSON(pair[0]), sweepJSON(pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// goldenOutcome's invalid third point is not compared either way.
+		if len(r.BlockDrift) != 0 || r.BlocksCompared != 0 || len(r.Drift) != 0 || len(r.MissingInB) != 0 {
+			t.Errorf("a missing block changed the comparison: %+v", r)
+		}
 	}
 }

@@ -151,10 +151,6 @@ type CPU struct {
 	// (not a hidden buffer) absorb memory-system backpressure.
 	lastData mem.Handle
 
-	// onLoadWord is the shared load-return callback (avoids one closure
-	// allocation per load).
-	onLoadWord func(addr uint32, w uint32, seq uint64)
-
 	// fst caches eng.Stats() so starvation accounting does not repeat the
 	// interface dispatch every starved cycle.
 	fst *stats.Fetch
@@ -256,14 +252,18 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 		}
 		c.dcache = dc
 	}
-	sys.FPUSink = c.loadArrived
-	c.onLoadWord = func(addr uint32, w uint32, seq uint64) {
-		if c.dcache != nil && addr < program.FPUBase {
-			c.dcache.FillSub(addr) // load-allocate
-		}
-		c.loadArrived(seq, w)
-	}
+	sys.SetDataOwner(c)
 	return c, nil
+}
+
+// DataWord receives a data load's word or an FPU result (mem.DataOwner).
+// An FPU result's nominal address lies in the FPU range, so only loads
+// allocate in the data cache.
+func (c *CPU) DataWord(addr, w uint32, seq uint64) {
+	if c.dcache != nil && addr < program.FPUBase {
+		c.dcache.FillSub(addr) // load-allocate
+	}
+	c.loadArrived(seq, w)
 }
 
 // SetDecodeTable installs the image's shared predecoded text segment (see
@@ -870,12 +870,7 @@ func (c *CPU) dispatchMemory() {
 		}
 		c.saq.MustPop()
 		datum := c.sdq.MustPop()
-		req := c.sys.AllocRequest()
-		req.Kind = stats.ReqDataStore
-		req.Addr = sa.addr &^ 3
-		req.Size = 4
-		req.Store = true
-		req.Data = append(req.Data[:0], uint32(datum))
+		req := mem.Request{Kind: stats.ReqDataStore, Addr: sa.addr &^ 3, Size: 4, Store: true, Word: uint32(datum)}
 		if fpuTrigger {
 			req.Seq = c.ldqSeqNext
 			c.ldqSeqNext++
@@ -911,13 +906,7 @@ func (c *CPU) dispatchMemory() {
 		seq := c.ldqSeqNext
 		c.ldqSeqNext++
 		c.inflightLoads++
-		req := c.sys.AllocRequest()
-		req.Kind = stats.ReqDataLoad
-		req.Addr = la.addr &^ 3
-		req.Size = 4
-		req.Seq = seq
-		req.OnWord = c.onLoadWord
-		c.lastData = c.sys.Submit(req)
+		c.lastData = c.sys.Submit(mem.Request{Kind: stats.ReqDataLoad, Addr: la.addr &^ 3, Size: 4, Seq: seq})
 	}
 }
 

@@ -59,13 +59,6 @@ type Conv struct {
 	outChunk    uint32
 	outHandle   mem.Handle
 
-	// onChunkWord/onChunkDone are the chunk-fill callbacks, built once at
-	// construction: a single request may be outstanding, so the out*
-	// fields describe it completely and no per-request closures are
-	// needed.
-	onChunkWord func(addr uint32, word uint32, seq uint64)
-	onChunkDone func(seq uint64)
-
 	// Native format: split-instruction latch (see the PIPE engine); holds
 	// a first parcel that a tail-line fill might otherwise evict.
 	capAddr  uint32
@@ -108,21 +101,30 @@ func NewConv(cfg ConvConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	c := &Conv{cfg: cfg, cache: cacheArr, img: img, sys: sys, intr: cfg.Introspector}
 	c.str.reset(pc)
 	c.str.varlen = img.Native
-	c.onChunkWord = func(addr uint32, _ uint32, _ uint64) {
+	sys.SetFetchOwner(c)
+	return c, nil
+}
+
+// FetchWords receives one input-bus transfer of the outstanding chunk
+// (mem.FetchOwner): each word's sub-blocks become valid. A single request
+// may be outstanding, so the out* fields describe it completely.
+func (c *Conv) FetchWords(addr uint32, n int) {
+	for end := addr + uint32(n)*isa.WordBytes; addr < end; addr += isa.WordBytes {
 		c.cache.FillSub(addr)
 		if c.img.Native {
 			c.cache.FillSub(addr + isa.ParcelBytes)
 		}
 	}
-	c.onChunkDone = func(_ uint64) {
-		c.outstanding = false
-		if c.outDemand {
-			c.emit(obs.KindFetchComplete, c.outChunk)
-		} else {
-			c.emit(obs.KindPrefetchComplete, c.outChunk)
-		}
+}
+
+// FetchDone completes the outstanding chunk (mem.FetchOwner).
+func (c *Conv) FetchDone() {
+	c.outstanding = false
+	if c.outDemand {
+		c.emit(obs.KindFetchComplete, c.outChunk)
+	} else {
+		c.emit(obs.KindPrefetchComplete, c.outChunk)
 	}
-	return c, nil
 }
 
 // Stats returns the engine's counters.
@@ -362,13 +364,7 @@ func (c *Conv) issue(chunk uint32, demand bool) {
 	c.outstanding = true
 	c.outDemand = demand
 	c.outChunk = chunk
-	r := c.sys.AllocRequest()
-	r.Kind = kind
-	r.Addr = chunk
-	r.Size = c.cfg.ChunkBytes
-	r.OnWord = c.onChunkWord
-	r.OnComplete = c.onChunkDone
-	c.outHandle = c.sys.Submit(r)
+	c.outHandle = c.sys.Submit(mem.Request{Kind: kind, Addr: chunk, Size: c.cfg.ChunkBytes})
 }
 
 // instAt returns the instruction and byte length at addr; past the text

@@ -93,13 +93,6 @@ type Pipe struct {
 	inflightDemand bool   // accepted at demand (vs prefetch) priority
 	inflightHandle mem.Handle
 
-	// onLineWord/onLineDone are the line-fill callbacks, built once at
-	// construction: the single-outstanding-request discipline means the
-	// inflight* fields fully describe the request being serviced, so no
-	// per-request closure captures are needed.
-	onLineWord func(addr uint32, word uint32, seq uint64)
-	onLineDone func(seq uint64)
-
 	// Native format: a two-parcel instruction can straddle a line
 	// boundary; with a tiny cache, fetching the second line may evict the
 	// first. The hardware holds the already-seen first parcel in a latch,
@@ -170,38 +163,49 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 	p.str.reset(pc)
 	p.str.varlen = img.Native
 	p.fetchAddr = pc
-	p.onLineWord = func(addr uint32, _ uint32, _ uint64) {
+	sys.SetFetchOwner(p)
+	return p, nil
+}
+
+// FetchWords receives one input-bus transfer of the outstanding line
+// fill (mem.FetchOwner): the cache fills each word's sub-block and, while
+// the insert is live, the words at or past inflightFrom enter the IQB. The
+// single-outstanding-request discipline means the inflight* fields fully
+// describe the request being serviced.
+func (p *Pipe) FetchWords(addr uint32, n int) {
+	for end := addr + uint32(n)*isa.WordBytes; addr < end; addr += isa.WordBytes {
 		if p.img.Native {
 			p.cache.FillSub(addr)
 			p.cache.FillSub(addr + isa.ParcelBytes)
 			p.drainNative()
-			return
+			continue
 		}
 		p.cache.FillSub(addr)
 		if !p.inflightInsert || addr < p.inflightFrom {
-			return
+			continue
 		}
 		if stop, ok := p.stopAt(); ok && addr >= stop {
-			return
+			continue
 		}
 		if p.iqb.Full() {
 			panic("fetch: IQB overflow during line fill")
 		}
 		p.iqb.MustPush(entry{addr: addr, word: p.wordAt(addr), nbytes: isa.WordBytes})
 	}
-	p.onLineDone = func(_ uint64) {
-		if p.inflightInsert && !p.img.Native {
-			p.advanceFetch(p.inflightLine + uint32(p.cfg.LineBytes))
-		}
-		p.inflight = false
-		p.inflightInsert = false
-		if p.inflightDemand {
-			p.emit(obs.KindFetchComplete, p.inflightLine)
-		} else {
-			p.emit(obs.KindPrefetchComplete, p.inflightLine)
-		}
+}
+
+// FetchDone completes the outstanding line fill (mem.FetchOwner).
+func (p *Pipe) FetchDone() {
+	if p.inflightInsert && !p.img.Native {
+		p.advanceFetch(p.inflightLine + uint32(p.cfg.LineBytes))
 	}
-	return p, nil
+	p.inflight = false
+	p.inflightInsert = false
+	if p.inflightDemand {
+		p.emit(obs.KindFetchComplete, p.inflightLine)
+	} else {
+		p.emit(obs.KindPrefetchComplete, p.inflightLine)
+	}
 }
 
 // Stats returns the engine's counters.
@@ -610,13 +614,7 @@ func (p *Pipe) requestLine(lineAddr uint32) {
 	p.inflightFrom = p.fetchAddr
 	p.inflightInsert = true
 	p.inflightDemand = demand
-	r := p.sys.AllocRequest()
-	r.Kind = kind
-	r.Addr = lineAddr
-	r.Size = p.cfg.LineBytes
-	r.OnWord = p.onLineWord
-	r.OnComplete = p.onLineDone
-	p.inflightHandle = p.sys.Submit(r)
+	p.inflightHandle = p.sys.Submit(mem.Request{Kind: kind, Addr: lineAddr, Size: p.cfg.LineBytes})
 }
 
 // instAt returns the instruction and its byte length at addr in this

@@ -70,11 +70,6 @@ type TIB struct {
 	inflightIns    bool
 	inflightDemand bool
 
-	// onLineWord/onLineDone are the line-fill callbacks, built once at
-	// construction (single outstanding request; see the PIPE engine).
-	onLineWord func(addr uint32, word uint32, seq uint64)
-	onLineDone func(seq uint64)
-
 	probe   obs.Probe
 	lastBuf int
 }
@@ -115,7 +110,16 @@ func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB
 	}
 	t.str.reset(pc)
 	t.fetchAddr = pc
-	t.onLineWord = func(addr uint32, _ uint32, _ uint64) {
+	sys.SetFetchOwner(t)
+	return t, nil
+}
+
+// FetchWords receives one input-bus transfer of the outstanding line
+// (mem.FetchOwner): the words fill an allocating TIB entry and, while the
+// insert is live, the sequential buffer. A single request may be
+// outstanding (see the PIPE engine).
+func (t *TIB) FetchWords(addr uint32, n int) {
+	for end := addr + uint32(n)*isa.WordBytes; addr < end; addr += isa.WordBytes {
 		w := t.wordAt(addr)
 		if t.allocActive && addr == t.allocNext {
 			e := &t.entries[t.allocIdx]
@@ -131,15 +135,16 @@ func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB
 			t.buf.MustPush(entry{addr: addr, word: w})
 		}
 	}
-	t.onLineDone = func(_ uint64) {
-		t.inflight = false
-		if t.inflightDemand {
-			t.emit(obs.KindFetchComplete, t.inflightFrom)
-		} else {
-			t.emit(obs.KindPrefetchComplete, t.inflightFrom)
-		}
+}
+
+// FetchDone completes the outstanding line (mem.FetchOwner).
+func (t *TIB) FetchDone() {
+	t.inflight = false
+	if t.inflightDemand {
+		t.emit(obs.KindFetchComplete, t.inflightFrom)
+	} else {
+		t.emit(obs.KindPrefetchComplete, t.inflightFrom)
 	}
-	return t, nil
 }
 
 // Stats returns the engine's counters.
@@ -282,13 +287,7 @@ func (t *TIB) Tick() {
 	t.inflightDemand = demand
 	from := t.fetchAddr
 	t.fetchAddr += uint32(t.cfg.LineBytes)
-	r := t.sys.AllocRequest()
-	r.Kind = kind
-	r.Addr = from
-	r.Size = t.cfg.LineBytes
-	r.OnWord = t.onLineWord
-	r.OnComplete = t.onLineDone
-	t.sys.Submit(r)
+	t.sys.Submit(mem.Request{Kind: kind, Addr: from, Size: t.cfg.LineBytes})
 }
 
 // NextEvent reports whether the next Tick can change state (see

@@ -238,28 +238,6 @@ func (g *gen) emit(e Expr) uint8 {
 	panic("kernels: unknown expression node")
 }
 
-// cost returns the number of instructions emit would generate for e.
-func cost(e Expr) int {
-	switch e := e.(type) {
-	case Reg:
-		return 0
-	case LoadX, LoadY:
-		return 1
-	case Op:
-		n := 4 // two stores, two queue moves
-		if _, bCompound := e.B.(Op); bCompound {
-			n += cost(e.B)
-			if _, aReg := e.A.(Reg); !aReg {
-				n += cost(e.A) + 1 // evaluate + spill one side
-			}
-		} else {
-			n += cost(e.A) + cost(e.B)
-		}
-		return n
-	}
-	panic("kernels: unknown expression node")
-}
-
 // Stmt is one statement of a kernel body.
 type Stmt interface{ isStmt() }
 
@@ -342,31 +320,4 @@ func CompileBody(stmts []Stmt, scratch []uint8) (ins []isa.Inst, err error) {
 		g.emitStmt(s)
 	}
 	return g.out, nil
-}
-
-// BodyCost returns the instruction count CompileBody would produce.
-func BodyCost(stmts []Stmt) int {
-	n := 0
-	for _, s := range stmts {
-		n += stmtCost(s)
-	}
-	return n
-}
-
-func stmtCost(s Stmt) int {
-	switch s := s.(type) {
-	case storeX:
-		return cost(s.E) + 2
-	case storeY:
-		return cost(s.E) + 2
-	case popReg:
-		c := cost(s.E)
-		if _, isReg := s.E.(Reg); !isReg {
-			c++
-		}
-		return c
-	case raw:
-		return len(s.ins)
-	}
-	panic("kernels: unknown statement")
 }

@@ -30,6 +30,24 @@
 // presented in the paper) the order is: instruction demand fetch, data
 // loads, data stores, FPU results, instruction prefetch. Without it, data
 // loads and stores outrank instruction fetch.
+//
+// # Request lifecycle
+//
+// A requester passes a Request by value to Submit, which copies it into
+// its arbitration class's FIFO ring and returns a Handle: a ticket naming
+// that ring and the request's sequence number in it. Until the arbiter
+// accepts the request, Handle.Cancel withdraws it; the arbiter drops a
+// canceled request when it reaches the head. Acceptance copies a read into
+// the in-flight reads ring, whose slot then holds the request itself (a
+// store's entry is its completion cycle); a data load snapshots its word
+// at that moment, so it never sees a younger store. Every read's words go to one of two owners,
+// each set once at construction: the fetch engine (FetchOwner) gets an
+// instruction read as one call per input-bus transfer and one call when it
+// completes, and the CPU (DataOwner) gets each load word and FPU result
+// with its Seq. A store writes memory (or the FPU) at acceptance and
+// completes with no callback. Nothing is pooled, so nothing is released,
+// and a Handle kept past acceptance stays inert: its ticket is never
+// issued again.
 package mem
 
 import (
@@ -38,7 +56,6 @@ import (
 
 	"pipesim/internal/obs"
 	"pipesim/internal/program"
-	"pipesim/internal/queue"
 	"pipesim/internal/stats"
 )
 
@@ -98,111 +115,152 @@ func IsFPUTrigger(addr uint32) bool {
 	return false
 }
 
-// Request is one off-chip transaction. Reads deliver words through OnWord
-// (one call per word, in address order) and then call OnComplete; stores
-// call only OnComplete. Seq is an opaque tag passed back to the callbacks.
+// Request is one off-chip transaction, passed by value: Submit copies it
+// into its class's queue and acceptance copies it into the in-flight ring,
+// so no requester keeps a reference to it.
 //
-// Requesters on the simulator's hot path obtain Requests from the owning
-// System's pool via AllocRequest, which recycles them once they complete;
-// a Request built directly with a composite literal works identically but
-// is garbage-collected instead.
+// Loads, stores and FPU results are one word; instruction reads may span
+// several. Word carries a store's datum and an FPU result's value; for a
+// load, acceptance snapshots the addressed word into it. Seq is an opaque
+// tag handed back to the data owner with each word.
 type Request struct {
-	Kind       stats.ReqKind
-	Addr       uint32 // must be 4-byte aligned
-	Size       int    // bytes, multiple of 4
-	Store      bool
-	Data       []uint32 // store data, Size/4 words
-	Seq        uint64
-	OnWord     func(addr uint32, word uint32, seq uint64)
-	OnComplete func(seq uint64)
-
-	canceled bool
-	accepted bool
-	pooled   bool   // recycled by the System once completed or canceled
-	gen      uint32 // bumped on recycle; stale Handles become inert
-
-	fpuResult uint32 // FPU-result payload (internal requests only)
+	Kind  stats.ReqKind
+	Addr  uint32 // must be 4-byte aligned
+	Word  uint32
+	Size  int // bytes, multiple of 4
+	Seq   uint64
+	Store bool
 }
 
-// Handle lets a requester cancel a request that has not yet been accepted
-// by the memory interface (used by the conventional cache to replace a
-// queued prefetch with a demand fetch). The generation tag makes a Handle
-// held past its request's completion inert rather than aliasing whatever
-// transaction reuses the pooled Request next.
+// FetchOwner receives the instruction side's reads: instruction demand
+// fetch and prefetch. The fetch engine reads instruction words from the
+// program image, so a transfer carries only where its words land.
+type FetchOwner interface {
+	// FetchWords is one input-bus transfer: n words from addr on, in
+	// address order.
+	FetchWords(addr uint32, n int)
+	// FetchDone follows the read's last transfer.
+	FetchDone()
+}
+
+// DataOwner receives the data side's words: data loads and FPU results,
+// one call per word with the request's Seq.
+type DataOwner interface {
+	DataWord(addr, word uint32, seq uint64)
+}
+
+// queued is one request waiting in its class's FIFO for the arbiter.
+type queued struct {
+	req      Request
+	canceled bool
+}
+
+// Handle is a ticket for a submitted request: its class's queue and the
+// request's position in the sequence of everything ever pushed there. It
+// lets a requester cancel a request that has not yet been accepted (used by
+// the conventional cache to replace a queued prefetch with a demand
+// fetch). Tickets are never reused, so a Handle held past acceptance is
+// inert rather than aliasing a later request in the same ring slot.
 type Handle struct {
-	r   *Request
-	gen uint32
+	q      *ring[queued]
+	ticket uint64
 }
 
 // Cancel withdraws the request if it is still waiting for acceptance and
 // reports whether it did so. A request already accepted runs to completion,
 // as in the paper's single-outstanding-request model.
 func (h Handle) Cancel() bool {
-	if h.r == nil || h.r.gen != h.gen || h.r.accepted || h.r.canceled {
+	if h.q == nil {
 		return false
 	}
-	h.r.canceled = true
+	e := h.q.ticket(h.ticket)
+	if e == nil || e.canceled {
+		return false
+	}
+	e.canceled = true
 	return true
 }
 
 // Queued reports whether the request is still waiting (not accepted, not
 // canceled).
 func (h Handle) Queued() bool {
-	return h.r != nil && h.r.gen == h.gen && !h.r.accepted && !h.r.canceled
-}
-
-// inflight is one accepted transaction. Reads hold the input bus for
-// their transfers; stores only wait out the access time.
-type inflight struct {
-	req           *Request
-	firstTransfer uint64 // cycle of the first input-bus transfer (reads)
-	transfers     uint64 // number of input-bus transfers (reads)
-	done          uint64 // cycle OnComplete fires
-	words         int    // words the read returns
-	delivered     int    // words delivered so far
-	// data is the read's words, snapshotted at acceptance so an in-flight
-	// load never observes a younger store. The ring slot keeps its
-	// capacity from one transaction to the next.
-	data []uint32
-}
-
-// txRing is a FIFO of in-flight transactions held by value: a
-// power-of-two ring that doubles when full, so after warm-up accepting
-// and retiring a transaction allocates nothing and copies no pointers.
-type txRing struct {
-	buf  []inflight
-	mask int // len(buf) - 1
-	head int
-	n    int
-}
-
-// push appends a slot at the tail and returns it. The slot holds whatever
-// transaction last used it: the caller sets every field it reads back.
-// The pointer is valid until the next push.
-func (q *txRing) push() *inflight {
-	if q.n == len(q.buf) { // full: double, keeping the transactions in order
-		grown := make([]inflight, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&q.mask]
-		}
-		q.buf, q.mask, q.head = grown, len(grown)-1, 0
+	if h.q == nil {
+		return false
 	}
-	f := &q.buf[(q.head+q.n)&q.mask]
-	q.n++
-	return f
+	e := h.q.ticket(h.ticket)
+	return e != nil && !e.canceled
 }
 
-// front returns the oldest transaction; the ring must not be empty.
-func (q *txRing) front() *inflight { return &q.buf[q.head] }
+// inflight is one accepted read, holding the request itself.
+type inflight struct {
+	req           Request
+	firstTransfer uint64 // cycle of the first input-bus transfer
+	transfers     uint64 // number of input-bus transfers
+	done          uint64 // cycle of the last transfer
+	delivered     int    // words delivered so far
+}
 
-// pop removes the oldest transaction and returns its request.
-func (q *txRing) pop() *Request {
-	f := &q.buf[q.head]
-	r := f.req
-	f.req = nil // the request goes back to its pool
+// ring is a FIFO held by value: a power-of-two ring that doubles when
+// full, so after warm-up pushing and popping allocate nothing. popped
+// counts every element ever popped, which numbers the elements in push
+// order: the one pushed when popped+n was k keeps ticket k while it is
+// queued.
+type ring[T any] struct {
+	buf    []T
+	mask   int // len(buf) - 1
+	head   int
+	n      int
+	popped uint64
+}
+
+// reserve makes room for one more element, doubling a full ring and
+// keeping its elements in order. It is apart from push so that both
+// inline: the call to grow runs only when the ring is full.
+func (q *ring[T]) reserve() {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+}
+
+func (q *ring[T]) grow() {
+	grown := make([]T, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		grown[i] = q.buf[(q.head+i)&q.mask]
+	}
+	q.buf, q.mask, q.head = grown, len(grown)-1, 0
+}
+
+// push appends a slot at the tail and returns it; reserve first. The slot
+// holds whatever element last used it: the caller sets every field it
+// reads back. The pointer is valid until the next reserve.
+func (q *ring[T]) push() *T {
+	i := (q.head + q.n) & q.mask
+	q.n++
+	return &q.buf[i]
+}
+
+// front returns the oldest element; the ring must not be empty.
+func (q *ring[T]) front() *T { return &q.buf[q.head] }
+
+// pop removes the oldest element; the ring must not be empty.
+func (q *ring[T]) pop() {
 	q.head = (q.head + 1) & q.mask
 	q.n--
-	return r
+	q.popped++
+}
+
+// at returns the i-th oldest element, 0 <= i < n.
+func (q *ring[T]) at(i int) *T { return &q.buf[(q.head+i)&q.mask] }
+
+// ticket returns the element holding ticket t, or nil once it has been
+// popped. A ticket below popped wraps to a huge offset, so one compare
+// covers both ends.
+func (q *ring[T]) ticket(t uint64) *T {
+	d := t - q.popped
+	if d >= uint64(q.n) {
+		return nil
+	}
+	return q.at(int(d))
 }
 
 type fpuOp struct {
@@ -227,14 +285,15 @@ type System struct {
 	st  *stats.Mem
 
 	cycle  uint64
-	queues [numClasses]queue.Queue[*Request]
+	queues [numClasses]ring[queued]
 	// Accepted transactions, each list in acceptance order. Reads take
 	// the input bus one after another (each starts at or after the
 	// previous one's last transfer), so they transfer and complete in
 	// order and only the oldest can be on the bus. Stores complete a
-	// fixed access time after acceptance, so they too complete in order.
-	reads          txRing
-	stores         txRing
+	// fixed access time after acceptance, so they too complete in order;
+	// a store's entry is the cycle it completes.
+	reads          ring[inflight]
+	stores         ring[uint64]
 	memFreeAt      uint64 // non-pipelined: earliest next acceptance
 	inputBusFreeAt uint64 // watermark of the next free input-bus cycle
 
@@ -253,17 +312,14 @@ type System struct {
 	prio    [numClasses]int // arbitration order, fixed by the config
 	pending int             // queued requests across all classes (arbiter fast path)
 
-	// Free list of requests. A simulated run issues hundreds of thousands
-	// of them; recycling them keeps the hot loop allocation-free after
-	// warm-up. Single-threaded like the rest of the System.
-	freeReq []*Request
+	// The two owners, set once by the fetch engine's and the CPU's
+	// constructors: every read's words go to one of them.
+	fetch FetchOwner
+	data  DataOwner
 
 	fpuA         uint32
 	fpuLastReady uint64
 	fpuOps       []fpuOp
-	// FPUSink receives floating-point results (set by the CPU). It is
-	// invoked via the normal input-bus delivery path.
-	FPUSink func(seq uint64, value uint32)
 
 	// probe, when set, observes bus transfers and request acceptances.
 	probe obs.Probe
@@ -278,6 +334,14 @@ type System struct {
 
 // SetProbe attaches an observability probe. Call before the first cycle.
 func (s *System) SetProbe(p obs.Probe) { s.probe = p }
+
+// SetFetchOwner makes o the receiver of every instruction fetch and
+// prefetch. The fetch engine's constructor calls it.
+func (s *System) SetFetchOwner(o FetchOwner) { s.fetch = o }
+
+// SetDataOwner makes o the receiver of every data load word and FPU
+// result. The CPU's constructor calls it.
+func (s *System) SetDataOwner(o DataOwner) { s.data = o }
 
 // New builds a memory system preloaded with the program image's text and
 // data segments.
@@ -302,60 +366,12 @@ func New(cfg Config, img *program.Image, st *stats.Mem) (*System, error) {
 	for i, w := range img.Data {
 		s.WriteWord(program.DataBase+4*uint32(i), w)
 	}
-	for k := range s.queues {
-		q, err := queue.New[*Request](64)
-		if err != nil {
-			return nil, fmt.Errorf("mem: request queue: %w", err)
-		}
-		s.queues[k] = *q
-	}
 	if cfg.InstrPriority {
 		s.prio = [...]int{classIFetch, classData, classFPUResult, classIPrefetch}
 	} else {
 		s.prio = [...]int{classData, classIFetch, classFPUResult, classIPrefetch}
 	}
 	return s, nil
-}
-
-// AllocRequest returns a zeroed Request from the System's pool. The System
-// recycles it automatically when the transaction completes (or its queued
-// request is dropped after cancelation); the caller must not retain the
-// pointer past that point — Handles are safe to keep, they go inert.
-func (s *System) AllocRequest() *Request {
-	if n := len(s.freeReq); n > 0 {
-		r := s.freeReq[n-1]
-		s.freeReq = s.freeReq[:n-1]
-		return r
-	}
-	return &Request{pooled: true}
-}
-
-// releaseRequest returns a pooled request to the free list. Callbacks and
-// store data are cleared (the Data slice keeps its capacity for reuse) and
-// the generation advances so outstanding Handles cannot observe the next
-// transaction.
-func (s *System) releaseRequest(r *Request) {
-	if !r.pooled {
-		return
-	}
-	// Field-by-field reset instead of a struct literal: this is one of the
-	// hottest pool paths and the literal form re-zeroes and re-stores the
-	// whole struct including the Data slice header. Callbacks MUST go nil
-	// (several requesters rely on a fresh request having none) and Store
-	// must clear (read sites leave it at the zero value).
-	r.Kind = 0
-	r.Addr = 0
-	r.Size = 0
-	r.Store = false
-	r.Data = r.Data[:0]
-	r.Seq = 0
-	r.OnWord = nil
-	r.OnComplete = nil
-	r.canceled = false
-	r.accepted = false
-	r.gen++
-	r.fpuResult = 0
-	s.freeReq = append(s.freeReq, r)
 }
 
 // Cycle returns the current cycle number (the cycle most recently passed to
@@ -366,8 +382,8 @@ func (s *System) Cycle() uint64 { return s.cycle }
 // one line, for deadlock and machine-check diagnostics.
 func (s *System) DebugState() string {
 	return fmt.Sprintf("mem{ifetch %d data %d fpu-result %d iprefetch %d inflight %d fpu-ops %d mem-free-at %d bus-free-at %d}",
-		s.queues[classIFetch].Len(), s.queues[classData].Len(),
-		s.queues[classFPUResult].Len(), s.queues[classIPrefetch].Len(),
+		s.queues[classIFetch].n, s.queues[classData].n,
+		s.queues[classFPUResult].n, s.queues[classIPrefetch].n,
 		s.reads.n+s.stores.n, len(s.fpuOps), s.memFreeAt, s.inputBusFreeAt)
 }
 
@@ -392,17 +408,27 @@ func (s *System) WriteWord(addr uint32, v uint32) {
 // Submit enqueues a request for arbitration. The returned handle can cancel
 // it while it is still queued. Submit panics on malformed requests, which
 // indicate simulator bugs rather than user errors.
-func (s *System) Submit(r *Request) Handle {
-	if r.Addr%4 != 0 || r.Size <= 0 || r.Size%4 != 0 {
-		panic(fmt.Sprintf("mem: malformed request addr=%#x size=%d", r.Addr, r.Size))
+func (s *System) Submit(r Request) Handle {
+	if r.Addr%4 != 0 || r.Size <= 0 || r.Size%4 != 0 || r.Size != 4 && !isFetch(r.Kind) {
+		panic(fmt.Sprintf("mem: malformed %v request addr=%#x size=%d (data requests are one word)", r.Kind, r.Addr, r.Size))
 	}
-	if r.Store && len(r.Data) != r.Size/4 {
-		panic(fmt.Sprintf("mem: store data length %d != %d words", len(r.Data), r.Size/4))
-	}
-	s.queues[classOf(r.Kind)].MustPush(r)
+	q := &s.queues[classOf(r.Kind)]
+	h := Handle{q: q, ticket: q.popped + uint64(q.n)}
+	// Field by field: a whole-struct copy reads the spilled argument back
+	// in 16-byte chunks across narrower stores, which defeats store
+	// forwarding on one of the hottest calls of the cycle.
+	q.reserve()
+	e := q.push()
+	e.req.Kind, e.req.Addr, e.req.Word = r.Kind, r.Addr, r.Word
+	e.req.Size, e.req.Seq, e.req.Store = r.Size, r.Seq, r.Store
+	e.canceled = false
 	s.pending++
-	return Handle{r: r, gen: r.gen}
+	return h
 }
+
+// isFetch reports whether k is an instruction read, whose words go to the
+// fetch owner (stats orders the two instruction kinds last).
+func isFetch(k stats.ReqKind) bool { return k >= stats.ReqIFetch }
 
 // Arbitration classes. Data loads and stores share one FIFO class so that
 // the processor's program-order dispatch of its memory operations is
@@ -464,29 +490,29 @@ func (s *System) begin() {
 
 // EndCycle runs the arbiter over everything submitted up to and including
 // this cycle, accepting at most one request. Call after the fetch engines
-// and CPU tick.
+// and CPU tick. While the non-pipelined memory is busy and no bus-only FPU
+// result waits, nothing can be accepted, so the arbiter is not called.
+// (memFreeAt stays 0 for pipelined memory. Canceled heads stay queued a
+// little longer; the arbiter drops them at the next cycle it could
+// actually accept, which changes nothing observable — they occupy no
+// memory resources.)
 func (s *System) EndCycle() {
-	if s.pending > 0 {
+	if s.pending > 0 && (s.cycle >= s.memFreeAt || s.queues[classFPUResult].n > 0) {
 		s.accept()
 	}
 }
 
 // fpuComplete turns finished FPU operations into result-return requests.
-// The result value rides in the request itself and is delivered straight to
-// FPUSink, so no per-operation closure is allocated. Call only once the
-// cycle has reached nextFPUAt.
+// The result value rides in the request's Word. Call only once the cycle
+// has reached nextFPUAt.
 func (s *System) fpuComplete() {
 	rest := s.fpuOps[:0]
 	next := NoEvent
 	for _, op := range s.fpuOps {
 		if op.readyAt <= s.cycle {
-			r := s.AllocRequest()
-			r.Kind = stats.ReqFPUResult
-			r.Addr = AddrFPUA // nominal source address
-			r.Size = 4
-			r.Seq = op.seq
-			r.fpuResult = op.result
-			s.Submit(r)
+			// AddrFPUA is the nominal source address: it lies in the FPU
+			// range, so the data owner can tell a result from a load.
+			s.Submit(Request{Kind: stats.ReqFPUResult, Addr: AddrFPUA, Size: 4, Word: op.result, Seq: op.seq})
 		} else {
 			if op.readyAt < next {
 				next = op.readyAt
@@ -502,14 +528,18 @@ func (s *System) fpuComplete() {
 // only once the cycle has reached nextInflightAt.
 func (s *System) deliver() {
 	cycle := s.cycle
-	for s.stores.n > 0 && s.stores.front().done <= cycle {
-		s.complete(s.stores.pop())
+	for s.stores.n > 0 && *s.stores.front() <= cycle {
+		s.stores.pop() // a store completes with no callback
 	}
 	if s.reads.n > 0 {
 		if f := s.reads.front(); cycle >= f.firstTransfer && cycle < f.firstTransfer+f.transfers {
 			s.transfer(f)
 			if cycle >= f.done {
-				s.complete(s.reads.pop())
+				kind := f.req.Kind
+				s.reads.pop()
+				if isFetch(kind) {
+					s.fetch.FetchDone()
+				}
 			}
 		}
 	}
@@ -517,7 +547,7 @@ func (s *System) deliver() {
 	// (the next cycle once inside its window), a store's completion.
 	next := NoEvent
 	if s.stores.n > 0 {
-		next = s.stores.front().done
+		next = *s.stores.front()
 	}
 	if s.reads.n > 0 {
 		if na := max64(cycle+1, s.reads.front().firstTransfer); na < next {
@@ -527,86 +557,56 @@ func (s *System) deliver() {
 	s.nextInflightAt = next
 }
 
-// transfer delivers one input-bus transfer of the read f: up to a bus
-// width of its words, each to its owner.
+// transfer delivers one input-bus transfer of the read f to its owner: up
+// to a bus width of an instruction read's words to the fetch owner, or a
+// data read's one word to the data owner.
 func (s *System) transfer(f *inflight) {
 	s.st.InputBusCycles++
-	r := f.req
+	r := &f.req
 	first := f.delivered
-	end := min(first+s.wordsPerTransfer, f.words)
-	if onWord := r.OnWord; onWord != nil {
-		for i, w := range f.data[first:end] {
-			onWord(r.Addr+uint32((first+i)*4), w, r.Seq)
-		}
-	} else if r.Kind == stats.ReqFPUResult && s.FPUSink != nil {
-		for _, w := range f.data[first:end] {
-			s.FPUSink(r.Seq, w)
-		}
+	end := min(first+s.wordsPerTransfer, r.Size>>2)
+	if isFetch(r.Kind) {
+		s.fetch.FetchWords(r.Addr+uint32(first*4), end-first)
+	} else {
+		s.data.DataWord(r.Addr, r.Word, r.Seq)
 	}
 	f.delivered = end
 	s.st.WordsDelivered += uint64(end - first)
-	if s.probe != nil && end > first {
+	if s.probe != nil {
 		s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: r.Addr, Value: uint64(end - first)})
 	}
 }
 
-// complete fires a finished transaction's completion callback and
-// recycles its request.
-func (s *System) complete(r *Request) {
-	if r.OnComplete != nil {
-		r.OnComplete(r.Seq)
-	}
-	s.releaseRequest(r)
-}
-
 // accept runs the priority arbiter and starts at most one request. Call
-// only with a request pending.
+// only with a request pending that the memory or the bus could take.
 func (s *System) accept() {
-	if !s.cfg.Pipelined && s.cycle < s.memFreeAt && s.queues[classFPUResult].Len() == 0 {
-		// The memory is busy and nothing bus-only is waiting: the scan
-		// below could not accept anything, so skip it. (Canceled heads
-		// stay queued a little longer; the arbiter drops them at the
-		// next cycle it could actually accept, which changes nothing
-		// observable — they occupy no memory resources.)
-		return
-	}
-	for _, class := range s.prio {
+	for _, class := range &s.prio { // by pointer: no copy of the array per call
 		q := &s.queues[class]
-		if q.Len() == 0 {
-			continue
-		}
 		// Drop canceled requests at the head.
-		for {
-			head, ok := q.Peek()
-			if !ok || !head.canceled {
-				break
-			}
-			q.MustPop()
+		for q.n > 0 && q.front().canceled {
+			q.pop()
 			s.pending--
-			s.releaseRequest(head)
 		}
-		head, ok := q.Peek()
-		if !ok {
+		if q.n == 0 {
 			continue
 		}
-		usesMemory := head.Kind != stats.ReqFPUResult
-		if usesMemory && !s.cfg.Pipelined && s.cycle < s.memFreeAt {
+		head := &q.front().req
+		if head.Kind != stats.ReqFPUResult && s.cycle < s.memFreeAt {
 			// The memory itself is busy; lower-priority classes must
 			// not sneak past it to the memory either, but an FPU
 			// result (bus-only) still may. Keep scanning only for
 			// bus-only classes.
 			continue
 		}
-		q.MustPop()
-		s.pending--
 		s.start(head)
+		q.pop()
+		s.pending--
 		return
 	}
 }
 
-// start schedules an accepted request.
+// start schedules an accepted request, copying it into its in-flight ring.
 func (s *System) start(r *Request) {
-	r.accepted = true
 	s.st.Accepted[r.Kind]++
 	if s.probe != nil {
 		s.probe.Event(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
@@ -618,9 +618,8 @@ func (s *System) start(r *Request) {
 		if !s.cfg.Pipelined {
 			s.memFreeAt = done
 		}
-		f := s.stores.push()
-		f.req = r
-		f.done = done // a store uses no other field
+		s.stores.reserve()
+		*s.stores.push() = done
 		if done < s.nextInflightAt {
 			s.nextInflightAt = done
 		}
@@ -639,43 +638,34 @@ func (s *System) start(r *Request) {
 		}
 	}
 	s.inputBusFreeAt = first + n
+	s.reads.reserve()
 	f := s.reads.push()
-	f.req = r
+	f.req = *r
+	if r.Kind == stats.ReqDataLoad {
+		// Snapshot the word now, so an in-flight load never observes a
+		// younger store. Instruction reads carry no words: their owner
+		// reads the program image.
+		f.req.Word = s.ReadWord(r.Addr)
+	}
 	f.firstTransfer = first
 	f.transfers = n
 	f.done = first + n - 1
-	f.words = r.Size >> 2
 	f.delivered = 0
-	if cap(f.data) >= f.words {
-		f.data = f.data[:f.words]
-	} else {
-		f.data = make([]uint32, f.words)
-	}
-	if r.Kind == stats.ReqFPUResult {
-		f.data[0] = r.fpuResult // the FPU produced the value; it rides in the request
-	} else {
-		for i := range f.data {
-			f.data[i] = s.ReadWord(r.Addr + uint32(i*4))
-		}
-	}
 	if first < s.nextInflightAt {
 		s.nextInflightAt = first
 	}
 }
 
-// applyStore writes store data into memory or the FPU. Writes become
-// visible immediately on acceptance; the completion callback still waits
-// for the access time, which is what frees the store queues.
+// applyStore writes a store's word into memory or the FPU. Writes become
+// visible immediately on acceptance; the completion still waits for the
+// access time, which is what keeps the non-pipelined memory busy.
 func (s *System) applyStore(r *Request) {
-	for i, w := range r.Data {
-		addr := r.Addr + uint32(i*4)
-		s.st.StoreWords++
-		if addr >= program.FPUBase {
-			s.fpuStore(addr, w, r.Seq)
-			continue
-		}
-		s.WriteWord(addr, w)
+	s.st.StoreWords++
+	if r.Addr >= program.FPUBase {
+		s.fpuStore(r.Addr, r.Word, r.Seq)
+		return
 	}
+	s.WriteWord(r.Addr, r.Word)
 }
 
 // fpuStore implements the memory-mapped FPU protocol.
@@ -733,7 +723,7 @@ func (s *System) NextEvent() uint64 {
 		// result is waiting (it bypasses the memory-busy gate), otherwise
 		// once the non-pipelined memory frees up. Canceled requests also
 		// count (conservatively): the arbiter drops them at the head scan.
-		if s.cfg.Pipelined || s.queues[classFPUResult].Len() > 0 {
+		if s.cfg.Pipelined || s.queues[classFPUResult].n > 0 {
 			return s.cycle + 1
 		}
 		next = max64(s.cycle+1, s.memFreeAt)
@@ -756,8 +746,8 @@ func (s *System) NextEvent() uint64 {
 func (s *System) Drained() bool {
 	for k := range s.queues {
 		q := &s.queues[k]
-		for i := 0; i < q.Len(); i++ {
-			if r, _ := q.At(i); !r.canceled {
+		for i := 0; i < q.n; i++ {
+			if !q.at(i).canceled {
 				return false
 			}
 		}

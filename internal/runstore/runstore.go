@@ -133,6 +133,7 @@ type Store struct {
 	entries []Entry        // oldest first (StoredUnix order, ties by scan order)
 	byKey   map[string]int // key -> index into entries
 	bytes   int64
+	writing map[string]int // key -> puts writing its record file right now
 }
 
 // Open opens (creating if needed) the archive at dir and reconciles the
@@ -150,6 +151,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		maxEntries: opt.MaxEntries,
 		maxBytes:   opt.MaxBytes,
 		byKey:      make(map[string]int),
+		writing:    make(map[string]int),
 	}
 	if s.maxEntries <= 0 {
 		s.maxEntries = DefaultMaxEntries
@@ -286,15 +288,6 @@ func (s *Store) Get(key runcache.Key) (*Record, bool) {
 	return rec, true
 }
 
-// GetHex is Get for a caller holding the hex form.
-func (s *Store) GetHex(hexKey string) (*Record, bool) {
-	k, err := runcache.ParseKey(hexKey)
-	if err != nil {
-		return nil, false
-	}
-	return s.Get(k)
-}
-
 // dropBad removes a corrupt entry file and its index row.
 func (s *Store) dropBad(hexKey string) {
 	s.mu.Lock()
@@ -315,10 +308,12 @@ func (s *Store) Put(key runcache.Key, cfg core.Config, st *stats.Sim) error {
 }
 
 // PutRecord archives a complete record (rec.Key must be set; Schema and
-// StoredUnix are filled in). The write is atomic — temp file, fsync,
-// rename — and the index is rewritten afterwards; a crash between the two
-// is healed by the next Open's directory reconciliation. Storing an
-// existing key replaces it.
+// StoredUnix are filled in). The record's write — temp file, fsync,
+// rename — runs outside the store mutex, so concurrent puts of distinct
+// keys overlap their disk I/O; only the in-memory entry update, garbage
+// collection and the index rewrite hold the lock. A crash between the
+// record write and the index write is healed by the next Open's directory
+// reconciliation. Storing an existing key replaces it.
 func (s *Store) PutRecord(rec *Record) error {
 	if _, err := runcache.ParseKey(rec.Key); err != nil {
 		s.writeErrs.Add(1)
@@ -333,9 +328,18 @@ func (s *Store) PutRecord(rec *Record) error {
 		s.writeErrs.Add(1)
 		return fmt.Errorf("runstore: encoding %s: %w", rec.Key, err)
 	}
+	// Mark the key as being written, so a concurrent GC evicting its
+	// older record leaves the file alone: it may already be this one.
+	s.mu.Lock()
+	s.writing[rec.Key]++
+	s.mu.Unlock()
+	err = s.writeAtomic(s.entryPath(rec.Key), raw)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeAtomicLocked(s.entryPath(rec.Key), raw); err != nil {
+	if s.writing[rec.Key]--; s.writing[rec.Key] == 0 {
+		delete(s.writing, rec.Key)
+	}
+	if err != nil {
 		s.writeErrs.Add(1)
 		return err
 	}
@@ -351,8 +355,8 @@ func (s *Store) PutRecord(rec *Record) error {
 	return nil
 }
 
-// writeAtomicLocked writes data to path via temp+fsync+rename.
-func (s *Store) writeAtomicLocked(path string, data []byte) error {
+// writeAtomic writes data to path via temp+fsync+rename.
+func (s *Store) writeAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
@@ -390,7 +394,9 @@ func (s *Store) removeAtLocked(i int) {
 func (s *Store) gcLocked() {
 	for len(s.entries) > 0 && (len(s.entries) > s.maxEntries || s.bytes > s.maxBytes) {
 		victim := s.entries[0]
-		os.Remove(s.entryPath(victim.Key))
+		if s.writing[victim.Key] == 0 {
+			os.Remove(s.entryPath(victim.Key))
+		}
 		s.removeAtLocked(0)
 		s.evictions.Add(1)
 	}
@@ -405,7 +411,7 @@ func (s *Store) writeIndexLocked() {
 		s.writeErrs.Add(1)
 		return
 	}
-	if err := s.writeAtomicLocked(filepath.Join(s.dir, indexName), raw); err != nil {
+	if err := s.writeAtomic(filepath.Join(s.dir, indexName), raw); err != nil {
 		s.writeErrs.Add(1)
 	}
 }

@@ -336,6 +336,48 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutsDistinctKeys: record writes run outside the store
+// mutex, so 8 goroutines putting distinct keys overlap their disk I/O
+// (run under -race). Every put must land: the live store and a reopened
+// one both list every key.
+func TestConcurrentPutsDistinctKeys(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	_, cfg, st := simulate(t, nil)
+	const workers, perWorker = 8, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if err := s.Put(runcache.KeyFor(cfg, [32]byte{byte(w), byte(i)}), cfg, st); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	want := make(map[string]bool)
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			want[runcache.KeyFor(cfg, [32]byte{byte(w), byte(i)}).String()] = true
+		}
+	}
+	for name, store := range map[string]*Store{"live": s, "reopened": openStore(t, dir, Options{})} {
+		got := make(map[string]bool)
+		for _, e := range store.List() {
+			got[e.Key] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s store lists %d keys, want the %d put", name, len(got), len(want))
+		}
+	}
+	if w := s.Counters().Writes; w != workers*perWorker {
+		t.Errorf("writes = %d, want %d", w, workers*perWorker)
+	}
+}
+
 // TestListNewestFirst pins the listing order and summary fields.
 func TestListNewestFirst(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})

@@ -6,8 +6,8 @@
 #   scripts/ab.sh <base-rev>
 #
 # The base is checked out as a git worktree under .bench_build/ab/ and
-# removed on exit. For each gated workload (sim-stepped, then catalog) the
-# script runs 10 pairs of
+# removed on exit. For each gated workload (sim-stepped, catalog, then
+# serve-mix) the script runs 10 pairs of
 #
 #   bash perfbench/run.sh --workload W --seconds 5 --trace 0 --seed P
 #
@@ -118,7 +118,7 @@ verdict() {
 	echo "$w: ok"
 }
 
-for w in sim-stepped catalog; do
+for w in sim-stepped catalog serve-mix; do
 	for p in $(seq "$pairs"); do
 		if ((p % 2)); then
 			run base "$w" "$p"

@@ -18,7 +18,6 @@ import (
 	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // FetchStrategy selects the instruction-supply strategy under test.
@@ -121,9 +120,10 @@ type Config struct {
 	// buckets and stall counters the stepped path would have incremented —
 	// so the knob exists only for differential testing and debugging, and
 	// runcache deliberately excludes it from its keys. Skip-ahead also
-	// turns itself off while a probe is attached, keeping the per-cycle
-	// event stream (KindCycle, queue depths) exact for timeline and
-	// per-loop collectors.
+	// turns itself off while the attached probe consumes a per-cycle kind
+	// (obs.PerCycleKinds: KindCycle, queue depths), keeping that stream
+	// exact for timeline and per-loop collectors; a probe consuming
+	// KindRetire keeps it, but no retirement is folded.
 	NoSkipAhead bool
 }
 
@@ -171,22 +171,19 @@ type Simulator struct {
 	st  stats.Sim
 	ran bool
 
-	cycle   uint64 // current cycle, for machine-check context
-	userRec trace.Recorder
+	cycle uint64 // current cycle, for machine-check context
 
-	probe    obs.Probe       // stamped user probe, or nil
-	loops    []obs.LoopRange // configured loop ranges, by ascending Start
-	curLoop  int             // loop number the retirement stream is inside (0 = outside)
-	loopSeen bool            // a retirement has initialized curLoop
+	stamp stamper  // wraps the attached probe (Target nil when none)
+	port  obs.Port // emits cache evictions on the introspector's behalf
 
 	intr *cache.Introspector // cache introspection, nil when disabled
 
 	skipped uint64 // cycles elided by skip-ahead (diagnostics/tests only)
 
-	replay     bool          // this run rebuilds another's post-mortem: never replay it
-	tailsBuilt bool          // recent and retired hold the post-mortem
-	recent     []obs.Event   // flight-recorder tail, oldest first
-	retired    []trace.Event // retirement tail, oldest first
+	replay     bool        // this run rebuilds another's post-mortem: never replay it
+	tailsBuilt bool        // recent and retired hold the post-mortem
+	recent     []obs.Event // flight-recorder tail, oldest first
+	retired    []Retired   // retirement tail, oldest first
 }
 
 // New builds a simulator for the image.
@@ -198,6 +195,7 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		cfg.MaxCycles = DefaultMaxCycles
 	}
 	s := &Simulator{cfg: cfg, img: img}
+	s.stamp.Clock = &s.cycle
 	var err error
 	if cfg.NativeFormat && !img.Native {
 		img, err = program.ToNative(img)
@@ -225,18 +223,17 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 		}
 		s.intr = cache.NewIntrospector(cfg.CacheBytes, cfg.LineBytes, topN)
 		// The engine feeds it demand references and the array its fills
-		// and evictions. Evictions surface as KindCacheEvict probe events;
-		// the closure reads the probe field at call time, so it is safe to
-		// build before a probe is attached.
+		// and evictions. Evictions surface as KindCacheEvict probe events
+		// through the core's port, which Run attaches.
 		s.intr.OnEvict = func(set int, lineAddr uint32, dead bool) {
-			if s.probe == nil {
+			if !s.port.On(obs.KindCacheEvict) {
 				return
 			}
 			var val uint64
 			if dead {
 				val = 1
 			}
-			s.probe.Event(obs.Event{Kind: obs.KindCacheEvict, Addr: lineAddr, Arg: uint32(set), Value: val})
+			s.port.Emit(obs.Event{Kind: obs.KindCacheEvict, Addr: lineAddr, Arg: uint32(set), Value: val})
 		}
 		arr.SetIntrospector(s.intr)
 	}
@@ -282,45 +279,31 @@ func New(cfg Config, img *program.Image) (*Simulator, error) {
 	return s, nil
 }
 
-// installRetireHook attaches the OnRetire closure serving the optional
-// observers (user tracer, probe with loop tracking). Called at the top of
-// Run, once both are finally known; left nil when neither is attached, so
-// an unobserved retirement costs one nil check.
-func (s *Simulator) installRetireHook() {
-	if s.userRec == nil && s.probe == nil {
-		s.cpu.OnRetire = nil
-		return
-	}
-	s.cpu.OnRetire = func(cycle uint64, pc uint32, in isa.Inst) {
-		if s.userRec != nil {
-			s.userRec.Record(trace.Event{Cycle: cycle, PC: pc, Inst: in})
-		}
-		if s.probe != nil {
-			if s.loops != nil {
-				s.trackLoop(pc)
-			}
-			s.probe.Event(obs.Event{Kind: obs.KindRetire, Addr: pc})
-		}
-	}
-}
-
 // SetProbe attaches p to every instrumented component — memory system,
-// fetch engine, CPU and the core's own retirement/loop tracking — wrapped
-// in an obs.Stamper sharing the simulator clock, so every event carries the
-// cycle it occurred in. Call before Run; a nil probe detaches.
-func (s *Simulator) SetProbe(p obs.Probe) {
-	if p == nil {
-		s.probe = nil
-		s.sys.SetProbe(nil)
-		s.eng.SetProbe(nil)
-		s.cpu.SetProbe(nil)
-		return
+// fetch engine, CPU and the core's own loop tracking and cache evictions —
+// behind the core's stamper, so every event carries the cycle it occurred
+// in. The components emit only the kinds p consumes (obs.Consumes), and
+// those kinds decide how Run may skip: see Config.NoSkipAhead. Call before
+// Run; a nil probe detaches.
+func (s *Simulator) SetProbe(p obs.Probe) { s.stamp.Target = p }
+
+// attach connects the stamped probe to every component's port: the
+// stamper with loop tracking when loop ranges are configured, its plain
+// obs.Stamper otherwise, which spares each event the retirement check.
+// Run calls it once the probe and the loop ranges are final.
+func (s *Simulator) attach() {
+	var p obs.Probe
+	switch {
+	case s.stamp.Target == nil:
+	case s.stamp.loops == nil:
+		p = &s.stamp.Stamper
+	default:
+		p = &s.stamp
 	}
-	stamped := &obs.Stamper{Clock: &s.cycle, Target: p}
-	s.probe = stamped
-	s.sys.SetProbe(stamped)
-	s.eng.SetProbe(stamped)
-	s.cpu.SetProbe(stamped)
+	s.sys.SetProbe(p)
+	s.eng.SetProbe(p)
+	s.cpu.SetProbe(p)
+	s.port.SetProbe(p)
 }
 
 // SetLoopRanges configures the PC ranges the retirement stream is matched
@@ -331,43 +314,68 @@ func (s *Simulator) SetProbe(p obs.Probe) {
 // search instead of a scan over all ranges.
 func (s *Simulator) SetLoopRanges(ranges []obs.LoopRange) {
 	if len(ranges) == 0 {
-		s.loops = nil
+		s.stamp.loops = nil
 		return
 	}
-	s.loops = append([]obs.LoopRange(nil), ranges...)
-	sort.Slice(s.loops, func(i, j int) bool { return s.loops[i].Start < s.loops[j].Start })
+	s.stamp.loops = append([]obs.LoopRange(nil), ranges...)
+	sort.Slice(s.stamp.loops, func(i, j int) bool { return s.stamp.loops[i].Start < s.stamp.loops[j].Start })
+}
+
+// stamper is the wrapper the core puts around the attached probe: an
+// obs.Stamper on the simulator clock that also watches the retirements for
+// loop transitions. It is attached only while loop ranges are configured.
+type stamper struct {
+	obs.Stamper
+	loops    []obs.LoopRange // configured loop ranges, by ascending Start
+	curLoop  int             // loop number the retirement stream is inside (0 = outside)
+	loopSeen bool            // a retirement has initialized curLoop
+}
+
+// Kinds is what the target consumes, plus the retirements loop tracking
+// watches.
+func (st *stamper) Kinds() obs.Kinds {
+	return st.Stamper.Kinds() | obs.KindsOf(obs.KindRetire)
+}
+
+// Event stamps e and forwards it, preceded on a retirement by any loop
+// transition it makes.
+func (st *stamper) Event(e obs.Event) {
+	if e.Kind == obs.KindRetire {
+		st.trackLoop(e.Addr)
+	}
+	st.Stamper.Event(e)
 }
 
 // trackLoop emits loop-transition events when the retirement PC moves
 // between configured ranges. A loop's enter event precedes the retire event
 // of its first instruction, so collectors attribute that instruction — and
 // the rest of the cycle — to the loop being entered.
-func (s *Simulator) trackLoop(pc uint32) {
+func (st *stamper) trackLoop(pc uint32) {
 	// The ranges are sorted by Start and disjoint: the only candidate is
 	// the last range starting at or before pc.
 	loop := 0
-	lo, hi := 0, len(s.loops)
+	lo, hi := 0, len(st.loops)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.loops[mid].Start <= pc {
+		if st.loops[mid].Start <= pc {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo > 0 && pc < s.loops[lo-1].End {
-		loop = s.loops[lo-1].Loop
+	if lo > 0 && pc < st.loops[lo-1].End {
+		loop = st.loops[lo-1].Loop
 	}
-	if s.loopSeen && loop == s.curLoop {
+	if st.loopSeen && loop == st.curLoop {
 		return
 	}
-	if s.loopSeen && s.curLoop != 0 {
-		s.probe.Event(obs.Event{Kind: obs.KindLoopExit, Arg: uint32(s.curLoop)})
+	if st.loopSeen && st.curLoop != 0 {
+		st.Stamper.Event(obs.Event{Kind: obs.KindLoopExit, Arg: uint32(st.curLoop)})
 	}
-	s.curLoop = loop
-	s.loopSeen = true
+	st.curLoop = loop
+	st.loopSeen = true
 	if loop != 0 {
-		s.probe.Event(obs.Event{Kind: obs.KindLoopEnter, Arg: uint32(loop)})
+		st.Stamper.Event(obs.Event{Kind: obs.KindLoopEnter, Arg: uint32(loop)})
 	}
 }
 
@@ -378,7 +386,7 @@ func (s *Simulator) trackLoop(pc uint32) {
 // costs one more simulation of the same length. Both are nil before Run and
 // when Config.FlightRecDepth is negative. Call after Run, from the
 // goroutine that ran it.
-func (s *Simulator) PostMortem() ([]obs.Event, []trace.Event) {
+func (s *Simulator) PostMortem() ([]obs.Event, []Retired) {
 	if s.ran && !s.tailsBuilt {
 		s.recent, s.retired = s.replayTails()
 		s.tailsBuilt = true
@@ -395,16 +403,16 @@ func (s *Simulator) FlightEvents() []obs.Event {
 // replayTails rebuilds the post-mortem by deterministic replay: a fresh
 // simulator over the same configuration and image (after any native
 // relayout) runs from cycle 1 to the end of the cycle this run stopped in,
-// with a flight recorder attached as its probe and a retirement ring as
-// its tracer. The simulator is deterministic, so the tails are exactly the
-// ones those observers would hold had they watched this run. (The ring
+// with two recorders as its probe: the flight recorder, taking every kind
+// but the per-cycle ones, and the retirement ring, taking KindRetire. The
+// simulator is deterministic, so the tails are exactly the ones those
+// recorders would hold had they watched this run. (Consuming KindRetire
 // makes the replay refuse retire folds, so it ticks some cycles this run
 // folded; folding never changes machine state, so the tails are still
-// identical.) A fault
-// raised by this run's own observers (retire tracer or probe) is not
-// reproduced, since the replay does not attach them; its replay runs to
-// the end of the faulting cycle instead.
-func (s *Simulator) replayTails() ([]obs.Event, []trace.Event) {
+// identical.) A fault raised by this run's own probe is not reproduced,
+// since the replay does not attach it; its replay runs to the end of the
+// faulting cycle instead.
+func (s *Simulator) replayTails() ([]obs.Event, []Retired) {
 	if s.replay || s.cfg.FlightRecDepth < 0 || s.cycle == 0 {
 		return nil, nil
 	}
@@ -416,16 +424,15 @@ func (s *Simulator) replayTails() ([]obs.Event, []trace.Event) {
 	}
 	r.replay = true
 	rec := obs.NewFlightRecorder(cfg.FlightRecDepth)
-	ring, err := trace.NewRing(RetireTraceDepth)
-	if err != nil {
-		return nil, nil // unreachable: the depth is a positive constant
-	}
-	r.SetProbe(rec)
-	r.SetRetireTracer(ring)
+	ring := obs.NewFlightRecorder(RetireTraceDepth)
+	r.SetProbe(obs.Multi{
+		obs.Only(obs.AllKinds&^obs.PerCycleKinds, rec),
+		obs.Only(obs.KindsOf(obs.KindRetire), ring),
+	})
 	// The replay ends in cycle s.cycle however this run did: completion,
 	// the same failure, or the MaxCycles cap. Its own result is not needed.
 	_, _ = r.Run()
-	return rec.Events(), ring.Events()
+	return rec.Events(), Retirements(s.img, ring.Events())
 }
 
 // Image returns the program image the simulator actually runs — after any
@@ -453,7 +460,7 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 			st, err = nil, s.machineCheck(p, debug.Stack())
 		}
 	}()
-	s.installRetireHook()
+	s.attach()
 	watchdog := s.cfg.WatchdogCycles
 	if watchdog == 0 {
 		watchdog = DefaultWatchdogCycles
@@ -462,14 +469,12 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 		lastRetired  uint64 // retirement count at the last progress cycle
 		lastProgress uint64 // most recent cycle that retired an instruction
 	)
-	// Skip-ahead turns itself off while a probe is attached: collectors
-	// consuming the per-cycle event stream (KindCycle, queue depths) need
-	// every cycle replayed exactly, not folded. A post-mortem replay keeps
-	// it: its only probe is the flight recorder, which drops exactly those
-	// kinds. Its retirement ring refuses retire folds (see below), so the
-	// replay folds fewer cycles than the failed run did, to the same
-	// machine state at every cycle.
-	skip := !s.cfg.NoSkipAhead && (s.probe == nil || s.replay)
+	// Skip-ahead turns itself off while the probe consumes a per-cycle
+	// kind (KindCycle, queue depths): such a collector needs every cycle
+	// ticked, not folded. A probe consuming KindRetire keeps it, but the
+	// CPU then refuses retire folds (see below), so the run folds fewer
+	// cycles, to the same machine state at every cycle.
+	skip := !s.cfg.NoSkipAhead && s.port.Consumed()&obs.PerCycleKinds == 0
 	for cycle := uint64(1); ; cycle++ {
 		s.cycle = cycle
 		s.sys.BeginCycle(cycle)
@@ -527,9 +532,10 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 		}
 		// A retire fold retires the instruction in EX2 in the span's
 		// first cycle: that cycle is the watchdog's last progress, as it
-		// would have been had the run stepped it. A run with a retire
-		// hook (a post-mortem replay's retirement ring, a user tracer)
-		// never sees one, so it folds fewer cycles to identical results.
+		// would have been had the run stepped it. A run whose probe
+		// consumes KindRetire (a post-mortem replay's retirement ring, a
+		// trace writer) never sees one, so it folds fewer cycles to
+		// identical results.
 		progress := lastProgress
 		if prof.Retires() {
 			progress = cycle + 1
@@ -567,15 +573,9 @@ func (s *Simulator) Run() (st *stats.Sim, err error) {
 // SkippedCycles reports how many cycles the run elided via event-driven
 // skip-ahead: Result cycle counts include them (they are folded into the
 // attribution buckets), wall-clock work does not. Zero when skip-ahead was
-// disabled, a probe was attached, or no fold opportunity arose. Diagnostic
-// only — call after Run.
+// disabled, the probe consumed a per-cycle kind, or no fold opportunity
+// arose. Diagnostic only — call after Run.
 func (s *Simulator) SkippedCycles() uint64 { return s.skipped }
-
-// SetRetireTracer installs a recorder observing every retired instruction.
-// Call before Run.
-func (s *Simulator) SetRetireTracer(rec trace.Recorder) {
-	s.userRec = rec
-}
 
 // ReadWord returns the final memory word at addr (after Run), letting
 // examples and tests verify kernel results.

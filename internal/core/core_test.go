@@ -7,8 +7,8 @@ import (
 	"pipesim/internal/asm"
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
-	"pipesim/internal/trace"
 )
 
 func smallProgram(t *testing.T) *program.Image {
@@ -85,16 +85,13 @@ func TestRetireTracerSeesDynamicStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetRetireTracer(ring)
+	ring := obs.NewFlightRecorder(1024)
+	sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), ring))
 	st, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := ring.Events()
+	events := core.Retirements(sim.Image(), ring.Events())
 	if uint64(len(events)) != st.CPU.Instructions {
 		t.Fatalf("traced %d events, retired %d instructions", len(events), st.CPU.Instructions)
 	}
@@ -127,7 +124,7 @@ func TestWriterTraceFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	sim.SetRetireTracer(&trace.Writer{W: &sb, Limit: 3})
+	sim.SetProbe(&core.TraceWriter{Img: sim.Image(), W: &sb, Limit: 3})
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +150,14 @@ func TestStrategiesAgreeOnArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring, err := trace.NewRing(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.SetRetireTracer(ring)
+		ring := obs.NewFlightRecorder(4096)
+		sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), ring))
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var pcs []uint32
 		for _, e := range ring.Events() {
-			pcs = append(pcs, e.PC)
+			pcs = append(pcs, e.Addr)
 		}
 		streams = append(streams, pcs)
 	}

@@ -1,10 +1,10 @@
 package core
 
 // White-box tests for the retirement-stream loop tracker: SetLoopRanges
-// sorts its copy of the ranges and trackLoop resolves each PC with a binary
-// search, so the lookup must agree with a plain linear scan for every PC —
-// inside a range, in the gaps between ranges, and at both boundary
-// addresses of each range.
+// sorts its copy of the ranges and the stamper's trackLoop resolves each
+// PC with a binary search, so the lookup must agree with a plain linear
+// scan for every PC — inside a range, in the gaps between ranges, and at
+// both boundary addresses of each range.
 
 import (
 	"testing"
@@ -20,7 +20,9 @@ func (p *recorderProbe) Event(e obs.Event) { p.events = append(p.events, e) }
 // loopSim builds a bare Simulator with just the fields trackLoop touches.
 func loopSim(ranges []obs.LoopRange) (*Simulator, *recorderProbe) {
 	p := &recorderProbe{}
-	s := &Simulator{probe: p}
+	s := &Simulator{}
+	s.stamp.Clock = &s.cycle
+	s.SetProbe(p)
 	s.SetLoopRanges(ranges)
 	return s, p
 }
@@ -32,9 +34,9 @@ func TestSetLoopRangesSortsItsCopy(t *testing.T) {
 		{Loop: 2, Start: 0x200, End: 0x240},
 	}
 	s, _ := loopSim(in)
-	for i := 1; i < len(s.loops); i++ {
-		if s.loops[i-1].Start >= s.loops[i].Start {
-			t.Fatalf("ranges not sorted by Start: %+v", s.loops)
+	for i := 1; i < len(s.stamp.loops); i++ {
+		if s.stamp.loops[i-1].Start >= s.stamp.loops[i].Start {
+			t.Fatalf("ranges not sorted by Start: %+v", s.stamp.loops)
 		}
 	}
 	// The caller's slice must be untouched (it was copied, not sorted in
@@ -43,7 +45,7 @@ func TestSetLoopRangesSortsItsCopy(t *testing.T) {
 		t.Error("SetLoopRanges sorted the caller's slice")
 	}
 	s.SetLoopRanges(nil)
-	if s.loops != nil {
+	if s.stamp.loops != nil {
 		t.Error("empty input should clear the ranges")
 	}
 }
@@ -62,8 +64,8 @@ func lookupLinear(ranges []obs.LoopRange, pc uint32) int {
 // it decided pc belongs to.
 func lookup(ranges []obs.LoopRange, pc uint32) int {
 	s, _ := loopSim(ranges)
-	s.trackLoop(pc)
-	return s.curLoop
+	s.stamp.trackLoop(pc)
+	return s.stamp.curLoop
 }
 
 func TestTrackLoopMatchesLinearScan(t *testing.T) {
@@ -97,7 +99,7 @@ func TestTrackLoopEmitsTransitions(t *testing.T) {
 	}
 	s, p := loopSim(ranges)
 	for _, pc := range []uint32{0x0f0, 0x100, 0x13c, 0x140, 0x180} {
-		s.trackLoop(pc)
+		s.stamp.trackLoop(pc)
 	}
 	// outside → enter 1 → (stay) → exit 1 + enter 2 → exit 2.
 	want := []obs.Event{

@@ -9,12 +9,11 @@ import (
 
 	"pipesim/internal/core"
 	"pipesim/internal/obs"
-	"pipesim/internal/trace"
 )
 
 // tailDigest hashes a post-mortem: the flight-recorder events, then the
 // retirement tail, one canonical line per entry.
-func tailDigest(events []obs.Event, retired []trace.Event) string {
+func tailDigest(events []obs.Event, retired []core.Retired) string {
 	h := sha256.New()
 	for _, e := range events {
 		fmt.Fprintf(h, "%d %d %d %d %d\n", e.Kind, e.Cycle, e.Addr, e.Arg, e.Value)
@@ -69,7 +68,7 @@ func TestMachineCheckReplayEndsAtFaultCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetRetireTracer(&panicRecorder{after: 20})
+	sim.SetProbe(&panicRecorder{after: 20})
 	_, err = sim.Run()
 	var mce *core.MachineCheckError
 	if !errors.As(err, &mce) {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"pipesim/internal/obs"
-	"pipesim/internal/trace"
 )
 
 // RetireTraceDepth is how many recently retired instructions a
@@ -37,15 +36,15 @@ const DefaultMaxCycles = 500_000_000
 // reproduce and diagnose the fault without a debugger. Callers sweeping
 // many configurations can log it and move on; the process never crashes.
 type MachineCheckError struct {
-	PanicValue   any           // the recovered panic value
-	Stack        string        // goroutine stack captured at the recovery point
-	Cycle        uint64        // cycle during which the panic escaped
-	PC           uint32        // PC of the most recently retired instruction
-	Instructions uint64        // instructions retired before the fault
-	Strategy     string        // fetch strategy name
-	Config       Config        // the offending configuration
-	Trace        []trace.Event // recently retired instructions, oldest first
-	Recent       []obs.Event   // flight-recorder tail: recent probe events, oldest first
+	PanicValue   any         // the recovered panic value
+	Stack        string      // goroutine stack captured at the recovery point
+	Cycle        uint64      // cycle during which the panic escaped
+	PC           uint32      // PC of the most recently retired instruction
+	Instructions uint64      // instructions retired before the fault
+	Strategy     string      // fetch strategy name
+	Config       Config      // the offending configuration
+	Trace        []Retired   // recently retired instructions, oldest first
+	Recent       []obs.Event // flight-recorder tail: recent probe events, oldest first
 }
 
 // Error summarizes the machine check in one line.
@@ -107,16 +106,16 @@ func writeRecent(sb *strings.Builder, recent []obs.Event) {
 // machine is stuck (e.g. an issue stall on an empty Load Data Queue with no
 // load in flight).
 type DeadlockError struct {
-	Cycle        uint64        // cycle at which the watchdog fired
-	LastProgress uint64        // last cycle that retired an instruction (0 = never)
-	Window       uint64        // the watchdog window that elapsed
-	Instructions uint64        // instructions retired before the stall
-	Strategy     string        // fetch strategy name
-	FetchState   string        // fetch-engine occupancy and cursor state
-	CPUState     string        // architectural queue occupancy and pipeline state
-	MemState     string        // memory-system queue occupancy
-	Trace        []trace.Event // recently retired instructions, oldest first
-	Recent       []obs.Event   // flight-recorder tail: recent probe events, oldest first
+	Cycle        uint64      // cycle at which the watchdog fired
+	LastProgress uint64      // last cycle that retired an instruction (0 = never)
+	Window       uint64      // the watchdog window that elapsed
+	Instructions uint64      // instructions retired before the stall
+	Strategy     string      // fetch strategy name
+	FetchState   string      // fetch-engine occupancy and cursor state
+	CPUState     string      // architectural queue occupancy and pipeline state
+	MemState     string      // memory-system queue occupancy
+	Trace        []Retired   // recently retired instructions, oldest first
+	Recent       []obs.Event // flight-recorder tail: recent probe events, oldest first
 }
 
 // Error summarizes the deadlock in one line.

@@ -12,7 +12,6 @@ import (
 	"pipesim/internal/core"
 	"pipesim/internal/obs"
 	"pipesim/internal/program"
-	"pipesim/internal/trace"
 )
 
 // saveFlightArtifact writes the flight-recorder tail as Chrome-trace JSON
@@ -117,11 +116,14 @@ func TestWatchdogDefaultsAreSane(t *testing.T) {
 	}
 }
 
-// panicRecorder panics when it sees a retirement, simulating an internal
-// inconsistency detected mid-cycle deep inside the simulator.
+// panicRecorder is a retire-only probe that panics when it sees a
+// retirement, simulating an internal inconsistency detected mid-cycle deep
+// inside the simulator.
 type panicRecorder struct{ after uint64 }
 
-func (p *panicRecorder) Record(e trace.Event) {
+func (p *panicRecorder) Kinds() obs.Kinds { return obs.KindsOf(obs.KindRetire) }
+
+func (p *panicRecorder) Event(e obs.Event) {
 	if e.Cycle >= p.after {
 		panic("injected simulator fault")
 	}
@@ -133,7 +135,7 @@ func TestRunRecoversPanicsAsMachineCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetRetireTracer(&panicRecorder{after: 20})
+	sim.SetProbe(&panicRecorder{after: 20})
 	_, err = sim.Run()
 	var mce *core.MachineCheckError
 	if !errors.As(err, &mce) {
@@ -185,11 +187,8 @@ func TestRunStillCompletesWithUserTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced.SetRetireTracer(ring)
+	ring := obs.NewFlightRecorder(64)
+	traced.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), ring))
 	stTraced, err := traced.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +248,7 @@ func TestMachineCheckErrorCarriesFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetRetireTracer(&panicRecorder{after: 20})
+	sim.SetProbe(&panicRecorder{after: 20})
 	_, err = sim.Run()
 	var mce *core.MachineCheckError
 	if !errors.As(err, &mce) {

@@ -17,9 +17,9 @@ import (
 
 	"pipesim/internal/core"
 	"pipesim/internal/kernels"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/synth"
-	"pipesim/internal/trace"
 )
 
 // diffConfigs is the machine matrix the suite sweeps: every fetch
@@ -218,7 +218,7 @@ func TestSkipDifferentialInterrupt(t *testing.T) {
 // stuckProgram the last instruction that ever retires does so in the first
 // cycle of a folded span, and the watchdog fires WatchdogCycles later. The
 // stepped and skipping runs must report the same deadlock — cycle, last
-// progress, diagnosis and post-mortem tails. A run with a retire tracer
+// progress, diagnosis and post-mortem tails. A run with a retire-only probe
 // attached refuses that fold, so it must elide fewer cycles: that proves
 // the retirement was folded rather than ticked.
 func TestWatchdogAfterRetireFold(t *testing.T) {
@@ -240,11 +240,7 @@ func TestWatchdogAfterRetireFold(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tracer {
-					ring, err := trace.NewRing(4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sim.SetRetireTracer(ring)
+					sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), obs.NewFlightRecorder(4)))
 				}
 				_, err = sim.Run()
 				var dl *core.DeadlockError

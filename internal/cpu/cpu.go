@@ -174,15 +174,11 @@ type CPU struct {
 	dcache *cache.Cache
 	dhits  []dcacheHit // hits delivering next cycle
 
-	// OnRetire, when set, observes every retired instruction (used by the
-	// tracing facility). It must not mutate simulator state.
-	OnRetire func(cycle uint64, pc uint32, in isa.Inst)
-
-	// probe, when set, receives typed observability events; the per-cycle
-	// attribution event (obs.KindCycle) is emitted exactly once per Tick.
-	// lastDepth tracks the last-emitted occupancy of each architectural
-	// queue so depth events fire only on change.
-	probe     obs.Probe
+	// Port emits the CPU's events: the per-cycle attribution
+	// (obs.KindCycle, exactly once per Tick), every retirement and the
+	// architectural queues' depths. lastDepth tracks the last-emitted
+	// occupancy of each queue so depth events fire only on change.
+	obs.Port
 	lastDepth [obs.NumQueues]int
 
 	// Single-level interrupt state (paper §3.1: "a single-level
@@ -241,6 +237,9 @@ func New(cfg Config, eng fetch.Engine, sys *mem.System, st *stats.CPU) (*CPU, er
 		arrivedMask: uint64(ring - 1),
 		fst:         eng.Stats(),
 	}
+	for i := range c.lastDepth {
+		c.lastDepth[i] = -1
+	}
 	if cfg.DCacheBytes > 0 {
 		line := cfg.DCacheLineBytes
 		if line == 0 {
@@ -270,14 +269,6 @@ func (c *CPU) DataWord(addr, w uint32, seq uint64) {
 // program.Image.Decoded). Fixed-format images only; pass nil to decode from
 // the instruction word on every take.
 func (c *CPU) SetDecodeTable(dec []isa.Decoded) { c.dec = dec }
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (c *CPU) SetProbe(p obs.Probe) {
-	c.probe = p
-	for i := range c.lastDepth {
-		c.lastDepth[i] = -1
-	}
-}
 
 // Halted reports whether the HALT instruction has retired.
 func (c *CPU) Halted() bool { return c.halted }
@@ -361,7 +352,7 @@ func (c *CPU) Tick() {
 	if c.dispatchPending() {
 		c.dispatchMemory()
 	}
-	if c.probe != nil {
+	if c.On(obs.KindQueueDepth) {
 		c.sampleQueues()
 	}
 }
@@ -395,8 +386,8 @@ const (
 	// only counters, so a span that begins with it still folds; the core
 	// records the span's first cycle as the watchdog's last progress. It
 	// combines with StallStarved, StallQueueFull and StallLDQWait, never
-	// with HALT (retiring it ends the run) and never while a retire hook
-	// is attached (the hook observes the retirement cycle).
+	// with HALT (retiring it ends the run) and never while the attached
+	// probe consumes KindRetire (the event carries the retirement cycle).
 	StallRetire StallProfile = 0x80
 )
 
@@ -417,8 +408,8 @@ func (c *CPU) StallProfile() StallProfile {
 	if c.ex1.valid {
 		return StallNone // execute would act
 	}
-	if c.ex2.valid && (c.ex2.in.Op == isa.OpHALT || c.OnRetire != nil) {
-		return StallNone // retiring HALT ends the run; a hook observes the cycle
+	if c.ex2.valid && (c.ex2.in.Op == isa.OpHALT || c.On(obs.KindRetire)) {
+		return StallNone // retiring HALT ends the run; a probe observes the cycle
 	}
 	var p StallProfile
 	if c.is.valid {
@@ -524,9 +515,7 @@ func (c *CPU) FoldStall(p StallProfile, n uint64) {
 func (c *CPU) account(bucket stats.CycleBucket) {
 	c.st.CycleBuckets[bucket]++
 	c.lastBucket = bucket
-	if c.probe != nil {
-		c.probe.Event(obs.Event{Kind: obs.KindCycle, Arg: uint32(bucket)})
-	}
+	c.Emit(obs.Event{Kind: obs.KindCycle, Arg: uint32(bucket)})
 }
 
 // MaybeStalled reports whether the cycle just ticked was attributed to a
@@ -541,14 +530,14 @@ func (c *CPU) MaybeStalled() bool {
 }
 
 // sampleQueues emits occupancy events for the architectural queues that
-// changed since the last sample (probe attached only).
+// changed since the last sample (queue depths consumed only).
 func (c *CPU) sampleQueues() {
 	sample := func(q obs.Queue, n int) {
 		if c.lastDepth[q] == n {
 			return
 		}
 		c.lastDepth[q] = n
-		c.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(q), Value: uint64(n)})
+		c.Emit(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(q), Value: uint64(n)})
 	}
 	sample(obs.QueueLAQ, c.laq.Len())
 	sample(obs.QueueLDQ, c.ldq.Len())
@@ -573,12 +562,9 @@ func (c *CPU) maybeEnterInterrupt() {
 
 // retire completes the instruction in EX2, which must be valid.
 func (c *CPU) retire() {
-	in := c.ex2.in
 	c.st.Instructions++
-	if c.OnRetire != nil {
-		c.OnRetire(c.cycle, c.ex2.pc, in.Inst)
-	}
-	switch in.Op {
+	c.Emit(obs.Event{Kind: obs.KindRetire, Addr: c.ex2.pc})
+	switch c.ex2.in.Op {
 	case isa.OpHALT:
 		c.halted = true
 	case isa.OpPBR:

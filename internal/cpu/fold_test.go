@@ -7,13 +7,13 @@ import (
 
 	"pipesim/internal/asm"
 	"pipesim/internal/core"
-	"pipesim/internal/trace"
+	"pipesim/internal/obs"
 )
 
 // TestSkipAheadRetireFold covers each stall class a retire fold joins —
 // LDQ wait, full queue and fetch starvation — on programs that end in
 // HALT, which must never fold. A run that retires inside folded spans, one
-// that steps every cycle, and one with a retire tracer attached (which
+// that steps every cycle, and one with a retire-only probe attached (which
 // refuses retire folds) must produce identical statistics, and the first
 // must fold more cycles than the third.
 func TestSkipAheadRetireFold(t *testing.T) {
@@ -53,11 +53,7 @@ func TestSkipAheadRetireFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tracer {
-				ring, err := trace.NewRing(4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sim.SetRetireTracer(ring)
+				sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), obs.NewFlightRecorder(4)))
 			}
 			st, err := sim.Run()
 			if err != nil {

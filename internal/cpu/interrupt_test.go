@@ -6,7 +6,7 @@ import (
 	"pipesim/internal/asm"
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
-	"pipesim/internal/trace"
+	"pipesim/internal/obs"
 )
 
 // interruptProgram: a main loop summing 1..40 into r2, plus a handler that
@@ -93,8 +93,9 @@ func TestInterruptPreservesComputation(t *testing.T) {
 
 func TestInterruptIsSingleLevel(t *testing.T) {
 	// A second RaiseInterrupt after the first is ignored; core only raises
-	// once anyway, so drive the CPU directly through a tracer hook check:
-	// the handler body must appear exactly once in the retired stream.
+	// once anyway, so drive the CPU directly through a retirement probe
+	// check: the handler body must appear exactly once in the retired
+	// stream.
 	img, err := asm.Assemble(interruptProgram)
 	if err != nil {
 		t.Fatal(err)
@@ -107,17 +108,14 @@ func TestInterruptIsSingleLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(1 << 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetRetireTracer(ring)
+	ring := obs.NewFlightRecorder(1 << 14)
+	sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), ring))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	entries := 0
 	banks := 0
-	for _, e := range ring.Events() {
+	for _, e := range core.Retirements(sim.Image(), ring.Events()) {
 		if e.PC == isr {
 			entries++
 		}

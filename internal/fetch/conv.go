@@ -64,24 +64,9 @@ type Conv struct {
 	capAddr  uint32
 	capValid bool
 
-	probe obs.Probe
-	intr  *cache.Introspector // ConvConfig.Introspector
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (c *Conv) SetProbe(p obs.Probe) { c.probe = p }
-
-// emit sends an event to the probe, when attached.
-func (c *Conv) emit(kind obs.Kind, addr uint32) {
-	c.emitArg(kind, addr, 0)
-}
-
-// emitArg is emit with a kind-specific Arg payload (the 3C miss class on
-// classified KindCacheMiss events).
-func (c *Conv) emitArg(kind obs.Kind, addr, arg uint32) {
-	if c.probe != nil {
-		c.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
-	}
+	// Port emits fetch events.
+	obs.Port
+	intr *cache.Introspector // ConvConfig.Introspector
 }
 
 var _ Engine = (*Conv)(nil)
@@ -121,9 +106,9 @@ func (c *Conv) FetchWords(addr uint32, n int) {
 func (c *Conv) FetchDone() {
 	c.outstanding = false
 	if c.outDemand {
-		c.emit(obs.KindFetchComplete, c.outChunk)
+		c.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: c.outChunk})
 	} else {
-		c.emit(obs.KindPrefetchComplete, c.outChunk)
+		c.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: c.outChunk})
 	}
 }
 
@@ -185,7 +170,7 @@ func (c *Conv) Take() (uint32, uint32, bool) {
 	if c.intr != nil {
 		c.intr.Reference(pc, true)
 	}
-	c.emit(obs.KindCacheHit, pc)
+	c.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: pc})
 	if c.capValid && c.capAddr == pc {
 		c.capValid = false
 	}
@@ -199,7 +184,7 @@ func (c *Conv) Resolve(taken bool, target uint32) {
 	c.str.resolve(taken, target)
 	if taken {
 		c.st.BranchFlushes++
-		c.emit(obs.KindBranchFlush, target)
+		c.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	}
 }
 
@@ -337,7 +322,7 @@ func (c *Conv) demand(pc uint32) {
 	if c.intr != nil {
 		class = c.intr.Reference(pc, false)
 	}
-	c.emitArg(obs.KindCacheMiss, pc, uint32(class))
+	c.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: pc, Arg: uint32(class)})
 	c.issue(chunk, true)
 }
 
@@ -357,9 +342,9 @@ func (c *Conv) issue(chunk uint32, demand bool) {
 		kind = stats.ReqIFetch
 	}
 	if demand {
-		c.emit(obs.KindFetchIssue, chunk)
+		c.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: chunk})
 	} else {
-		c.emit(obs.KindPrefetchIssue, chunk)
+		c.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: chunk})
 	}
 	c.outstanding = true
 	c.outDemand = demand

@@ -100,9 +100,9 @@ type Pipe struct {
 	capAddr  uint32
 	capValid bool
 
-	// probe, when set, observes fetch events; lastIQ/lastIQB track the
-	// last-emitted queue occupancies so depth events fire only on change.
-	probe   obs.Probe
+	// Port emits fetch events; lastIQ/lastIQB track the last-emitted
+	// queue occupancies so depth events fire only on change.
+	obs.Port
 	lastIQ  int
 	lastIQB int
 
@@ -110,25 +110,6 @@ type Pipe struct {
 	intr *cache.Introspector
 
 	lineWords int // LineBytes / isa.WordBytes
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (p *Pipe) SetProbe(pr obs.Probe) {
-	p.probe = pr
-	p.lastIQ, p.lastIQB = -1, -1
-}
-
-// emit sends an event to the probe, when attached.
-func (p *Pipe) emit(kind obs.Kind, addr uint32) {
-	p.emitArg(kind, addr, 0)
-}
-
-// emitArg is emit with a kind-specific Arg payload (the 3C miss class on
-// classified KindCacheMiss events).
-func (p *Pipe) emitArg(kind obs.Kind, addr, arg uint32) {
-	if p.probe != nil {
-		p.probe.Event(obs.Event{Kind: kind, Addr: addr, Arg: arg})
-	}
 }
 
 var _ Engine = (*Pipe)(nil)
@@ -158,6 +139,8 @@ func NewPipe(cfg PipeConfig, cacheArr *cache.Cache, img *program.Image, sys *mem
 		iq:    *iq,
 		iqb:   *iqb,
 
+		lastIQ:    -1,
+		lastIQB:   -1,
 		lineWords: cfg.LineBytes / isa.WordBytes,
 	}
 	p.str.reset(pc)
@@ -202,9 +185,9 @@ func (p *Pipe) FetchDone() {
 	p.inflight = false
 	p.inflightInsert = false
 	if p.inflightDemand {
-		p.emit(obs.KindFetchComplete, p.inflightLine)
+		p.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: p.inflightLine})
 	} else {
-		p.emit(obs.KindPrefetchComplete, p.inflightLine)
+		p.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: p.inflightLine})
 	}
 }
 
@@ -279,7 +262,7 @@ func (p *Pipe) Resolve(taken bool, target uint32) {
 		return
 	}
 	p.st.BranchFlushes++
-	p.emit(obs.KindBranchFlush, target)
+	p.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	if p.img.Native {
 		// Window-end addresses are unknowable in the variable-length
 		// format, so the early trim is skipped: the fetch path keeps
@@ -423,7 +406,7 @@ func (p *Pipe) Tick() {
 	if p.iq.Empty() && !p.iqb.Empty() {
 		p.refillIQ()
 	}
-	if p.probe != nil {
+	if p.On(obs.KindQueueDepth) {
 		p.sampleQueues()
 	}
 }
@@ -512,11 +495,11 @@ func (p *Pipe) refillActive() bool {
 func (p *Pipe) sampleQueues() {
 	if n := p.iq.Len(); n != p.lastIQ {
 		p.lastIQ = n
-		p.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQ), Value: uint64(n)})
+		p.Emit(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQ), Value: uint64(n)})
 	}
 	if n := p.iqb.Len(); n != p.lastIQB {
 		p.lastIQB = n
-		p.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQB), Value: uint64(n)})
+		p.Emit(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueIQB), Value: uint64(n)})
 	}
 }
 
@@ -557,7 +540,7 @@ func (p *Pipe) fillIQBFromCache() {
 		if p.intr != nil {
 			p.intr.Reference(p.fetchAddr, true)
 		}
-		p.emit(obs.KindCacheHit, p.fetchAddr)
+		p.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: p.fetchAddr})
 		stop, hasStop := p.stopAt()
 		lineEnd := lineAddr + uint32(p.cfg.LineBytes)
 		for a := p.fetchAddr; a < lineEnd; a += isa.WordBytes {
@@ -590,7 +573,7 @@ func (p *Pipe) requestLine(lineAddr uint32) {
 		// end.
 		if limit, bounded := p.guaranteeEnd(); bounded && p.fetchAddr >= limit {
 			p.st.PrefetchBlocks++
-			p.emit(obs.KindPrefetchBlocked, p.fetchAddr)
+			p.Emit(obs.Event{Kind: obs.KindPrefetchBlocked, Addr: p.fetchAddr})
 			return
 		}
 	}
@@ -599,15 +582,15 @@ func (p *Pipe) requestLine(lineAddr uint32) {
 	if p.intr != nil {
 		class = p.intr.Reference(p.fetchAddr, false)
 	}
-	p.emitArg(obs.KindCacheMiss, p.fetchAddr, uint32(class))
+	p.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: p.fetchAddr, Arg: uint32(class)})
 	kind := stats.ReqIPrefetch
 	if demand {
 		kind = stats.ReqIFetch
 		p.st.LineFetches++
-		p.emit(obs.KindFetchIssue, lineAddr)
+		p.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: lineAddr})
 	} else {
 		p.st.Prefetches++
-		p.emit(obs.KindPrefetchIssue, lineAddr)
+		p.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: lineAddr})
 	}
 	p.inflight = true
 	p.inflightLine = lineAddr
@@ -685,7 +668,7 @@ func (p *Pipe) fillNative() {
 		if p.intr != nil {
 			p.intr.Reference(start, true)
 		}
-		p.emit(obs.KindCacheHit, start)
+		p.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: start})
 		return
 	}
 	if p.iqb.Full() {

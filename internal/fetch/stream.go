@@ -58,10 +58,11 @@ type Engine interface {
 	ResumePC() uint32
 	// Stats returns the engine's activity counters.
 	Stats() *stats.Fetch
-	// SetProbe attaches an observability probe receiving the engine's
-	// typed events (cache hits/misses, fetch and prefetch issue/complete,
-	// blocked prefetches, branch flushes, queue occupancy). Call before
-	// the first Tick; a nil probe disables emission.
+	// SetProbe attaches an observability probe to the engine's obs.Port,
+	// which emits the typed events (cache hits/misses, fetch and prefetch
+	// issue/complete, blocked prefetches, branch flushes, queue
+	// occupancy) whose kinds the probe consumes. Call before the first
+	// Tick; a nil probe disables emission.
 	SetProbe(p obs.Probe)
 	// DebugState renders the engine's occupancy and cursor state in one
 	// line, for deadlock and machine-check diagnostics.

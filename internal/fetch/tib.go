@@ -70,21 +70,10 @@ type TIB struct {
 	inflightIns    bool
 	inflightDemand bool
 
-	probe   obs.Probe
+	// Port emits fetch events; lastBuf tracks the last-emitted buffer
+	// occupancy so depth events fire only on change.
+	obs.Port
 	lastBuf int
-}
-
-// SetProbe attaches an observability probe. Call before the first Tick.
-func (t *TIB) SetProbe(p obs.Probe) {
-	t.probe = p
-	t.lastBuf = -1
-}
-
-// emit sends an event to the probe, when attached.
-func (t *TIB) emit(kind obs.Kind, addr uint32) {
-	if t.probe != nil {
-		t.probe.Event(obs.Event{Kind: kind, Addr: addr})
-	}
 }
 
 var _ Engine = (*TIB)(nil)
@@ -107,6 +96,14 @@ func NewTIB(cfg TIBConfig, img *program.Image, sys *mem.System, pc uint32) (*TIB
 		sys:     sys,
 		buf:     buf,
 		entries: make([]tibEntry, cfg.Entries),
+		lastBuf: -1,
+	}
+	// Every entry fills a fixed slice of one array, reused on each
+	// reallocation: a TIB miss allocates nothing.
+	lineWords := cfg.LineBytes / isa.WordBytes
+	words := make([]uint32, cfg.Entries*lineWords)
+	for i := range t.entries {
+		t.entries[i].words = words[i*lineWords : i*lineWords : (i+1)*lineWords]
 	}
 	t.str.reset(pc)
 	t.fetchAddr = pc
@@ -141,9 +138,9 @@ func (t *TIB) FetchWords(addr uint32, n int) {
 func (t *TIB) FetchDone() {
 	t.inflight = false
 	if t.inflightDemand {
-		t.emit(obs.KindFetchComplete, t.inflightFrom)
+		t.Emit(obs.Event{Kind: obs.KindFetchComplete, Addr: t.inflightFrom})
 	} else {
-		t.emit(obs.KindPrefetchComplete, t.inflightFrom)
+		t.Emit(obs.Event{Kind: obs.KindPrefetchComplete, Addr: t.inflightFrom})
 	}
 }
 
@@ -197,7 +194,7 @@ func (t *TIB) Resolve(taken bool, target uint32) {
 	}
 	if taken {
 		t.st.BranchFlushes++
-		t.emit(obs.KindBranchFlush, target)
+		t.Emit(obs.Event{Kind: obs.KindBranchFlush, Addr: target})
 	}
 }
 
@@ -223,7 +220,7 @@ func (t *TIB) redirect(target uint32) {
 	t.allocActive = false
 	if idx := t.lookup(target); idx >= 0 {
 		t.st.CacheHits++
-		t.emit(obs.KindCacheHit, target)
+		t.Emit(obs.Event{Kind: obs.KindCacheHit, Addr: target})
 		e := &t.entries[idx]
 		for i, w := range e.words {
 			t.buf.MustPush(entry{addr: target + uint32(i*isa.WordBytes), word: w})
@@ -232,13 +229,14 @@ func (t *TIB) redirect(target uint32) {
 		return
 	}
 	t.st.CacheMisses++
-	t.emit(obs.KindCacheMiss, target)
+	t.Emit(obs.Event{Kind: obs.KindCacheMiss, Addr: target})
 	t.fetchAddr = target
 	// Allocate a TIB entry for this target (FIFO replacement) and fill it
 	// from the arriving stream.
 	idx := t.nextRep
 	t.nextRep = (t.nextRep + 1) % len(t.entries)
-	t.entries[idx] = tibEntry{target: target, words: make([]uint32, 0, t.cfg.LineBytes/isa.WordBytes), valid: true}
+	e := &t.entries[idx]
+	e.target, e.words, e.valid = target, e.words[:0], true
 	t.allocActive = true
 	t.allocIdx = idx
 	t.allocNext = target
@@ -257,10 +255,10 @@ func (t *TIB) lookup(target uint32) int {
 // Tick keeps the sequential stream flowing: one outstanding line-sized
 // fetch whenever the buffer has room.
 func (t *TIB) Tick() {
-	if t.probe != nil {
+	if t.On(obs.KindQueueDepth) {
 		if n := t.buf.Len(); n != t.lastBuf {
 			t.lastBuf = n
-			t.probe.Event(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueTIB), Value: uint64(n)})
+			t.Emit(obs.Event{Kind: obs.KindQueueDepth, Arg: uint32(obs.QueueTIB), Value: uint64(n)})
 		}
 	}
 	if t.str.halted || t.inflight {
@@ -276,10 +274,10 @@ func (t *TIB) Tick() {
 	if demand {
 		kind = stats.ReqIFetch
 		t.st.LineFetches++
-		t.emit(obs.KindFetchIssue, t.fetchAddr)
+		t.Emit(obs.Event{Kind: obs.KindFetchIssue, Addr: t.fetchAddr})
 	} else {
 		t.st.Prefetches++
-		t.emit(obs.KindPrefetchIssue, t.fetchAddr)
+		t.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Addr: t.fetchAddr})
 	}
 	t.inflight = true
 	t.inflightFrom = t.fetchAddr

@@ -321,8 +321,8 @@ type System struct {
 	fpuLastReady uint64
 	fpuOps       []fpuOp
 
-	// probe, when set, observes bus transfers and request acceptances.
-	probe obs.Probe
+	// Port emits bus transfers and request acceptances.
+	obs.Port
 
 	// ram is the 20-bit address space in 4 KiB pages, each allocated on
 	// its first write and zeroPage until then. The Livermore image fills
@@ -331,9 +331,6 @@ type System struct {
 	// machines.
 	ram [ramPages]*[pageWords]uint32
 }
-
-// SetProbe attaches an observability probe. Call before the first cycle.
-func (s *System) SetProbe(p obs.Probe) { s.probe = p }
 
 // SetFetchOwner makes o the receiver of every instruction fetch and
 // prefetch. The fetch engine's constructor calls it.
@@ -572,9 +569,7 @@ func (s *System) transfer(f *inflight) {
 	}
 	f.delivered = end
 	s.st.WordsDelivered += uint64(end - first)
-	if s.probe != nil {
-		s.probe.Event(obs.Event{Kind: obs.KindBusBusy, Addr: r.Addr, Value: uint64(end - first)})
-	}
+	s.Emit(obs.Event{Kind: obs.KindBusBusy, Addr: r.Addr, Value: uint64(end - first)})
 }
 
 // accept runs the priority arbiter and starts at most one request. Call
@@ -608,9 +603,7 @@ func (s *System) accept() {
 // start schedules an accepted request, copying it into its in-flight ring.
 func (s *System) start(r *Request) {
 	s.st.Accepted[r.Kind]++
-	if s.probe != nil {
-		s.probe.Event(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
-	}
+	s.Emit(obs.Event{Kind: obs.KindMemAccept, Addr: r.Addr, Arg: uint32(r.Kind)})
 	T := uint64(s.cfg.AccessTime)
 	if r.Store {
 		done := s.cycle + T

@@ -9,9 +9,11 @@ package obs
 // so the core rebuilds the tail only when it is asked for: after a failure
 // it re-simulates the run up to the failing cycle with a recorder attached
 // as an ordinary Probe, and reads the ring there. Successful runs, which are
-// almost all runs, pay nothing for post-mortems. The two per-cycle-rate
-// kinds — KindCycle and KindQueueDepth, together ~70% of the stream — are
-// not retained: they carry no fault context the retained kinds don't.
+// almost all runs, pay nothing for post-mortems. The core restricts its
+// recorders with Only: the flight recorder takes every kind but the
+// per-cycle ones (PerCycleKinds, ~70% of the stream, with no fault context
+// the others lack), so the replay keeps skip-ahead; the retirement tail is
+// a second recorder taking KindRetire alone.
 
 import (
 	"fmt"
@@ -27,9 +29,9 @@ import (
 const DefaultFlightRecDepth = 256
 
 // FlightRecorder is a Probe keeping a bounded ring of recent events. Events
-// arrive stamped (attach it behind a Stamper). It is single-writer and is
-// preallocated at construction. A nil *FlightRecorder is a valid
-// "disabled" recorder for the read-side methods.
+// arrive stamped with their cycle (the core stamps every event it passes
+// on). It is single-writer and is preallocated at construction. A nil
+// *FlightRecorder is a valid "disabled" recorder for the read-side methods.
 type FlightRecorder struct {
 	buf  []Event // power-of-two ring
 	mask uint64
@@ -50,11 +52,7 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 }
 
 // Event retains e, overwriting the oldest event when the ring is full.
-// KindCycle and KindQueueDepth events are dropped.
 func (r *FlightRecorder) Event(e Event) {
-	if e.Kind == KindCycle || e.Kind == KindQueueDepth {
-		return
-	}
 	r.buf[r.n&r.mask] = e
 	r.n++
 }
@@ -85,14 +83,6 @@ func (r *FlightRecorder) Total() uint64 {
 		return 0
 	}
 	return r.n
-}
-
-// Depth returns the ring capacity. Safe on a nil recorder.
-func (r *FlightRecorder) Depth() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
 }
 
 // String renders the event as one stable diagnostic line, used by the

@@ -9,8 +9,8 @@ import (
 
 func TestFlightRecorderRetainsMostRecent(t *testing.T) {
 	r := NewFlightRecorder(4)
-	if r.Depth() != 4 {
-		t.Fatalf("Depth = %d, want 4", r.Depth())
+	if len(r.buf) != 4 {
+		t.Fatalf("depth = %d, want 4", len(r.buf))
 	}
 	for i := 0; i < 10; i++ {
 		r.Event(Event{Kind: KindRetire, Cycle: uint64(i), Addr: uint32(i)})
@@ -48,14 +48,16 @@ func TestFlightRecorderPartialFill(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDropsPerCycleKinds checks the two per-cycle-rate kinds
-// take no ring slots and do not count as retained.
+// TestFlightRecorderDropsPerCycleKinds checks that, restricted as the
+// post-mortem restricts it, the recorder gives the two per-cycle-rate kinds
+// no ring slots and does not count them as retained.
 func TestFlightRecorderDropsPerCycleKinds(t *testing.T) {
 	r := NewFlightRecorder(4)
+	p := Only(AllKinds&^PerCycleKinds, r)
 	for kind := Kind(0); kind < numKinds; kind++ {
-		r.Event(Event{Kind: kind, Cycle: 1})
-		r.Event(Event{Kind: KindRetire, Cycle: 2})
-		r.Event(Event{Kind: kind, Cycle: 3})
+		p.Event(Event{Kind: kind, Cycle: 1})
+		p.Event(Event{Kind: KindRetire, Cycle: 2})
+		p.Event(Event{Kind: kind, Cycle: 3})
 	}
 	if want := uint64(3*numKinds - 4); r.Total() != want {
 		t.Errorf("Total = %d, want %d", r.Total(), want)
@@ -68,17 +70,17 @@ func TestFlightRecorderDropsPerCycleKinds(t *testing.T) {
 }
 
 func TestFlightRecorderDepthRounding(t *testing.T) {
-	if d := NewFlightRecorder(5).Depth(); d != 8 {
+	if d := len(NewFlightRecorder(5).buf); d != 8 {
 		t.Errorf("depth 5 rounded to %d, want 8", d)
 	}
-	if d := NewFlightRecorder(0).Depth(); d != DefaultFlightRecDepth {
+	if d := len(NewFlightRecorder(0).buf); d != DefaultFlightRecDepth {
 		t.Errorf("depth 0 = %d, want the default %d", d, DefaultFlightRecDepth)
 	}
 }
 
 func TestNilFlightRecorderReads(t *testing.T) {
 	var r *FlightRecorder
-	if r.Events() != nil || r.Total() != 0 || r.Depth() != 0 {
+	if r.Events() != nil || r.Total() != 0 {
 		t.Error("nil recorder read-side methods must be zero-valued no-ops")
 	}
 }

@@ -12,13 +12,18 @@
 // higher-level collectors fold the stream into per-Livermore-loop
 // statistics (PerLoop) or a Chrome-trace timeline (Timeline).
 //
-// The layer is strictly pay-for-what-you-use: with no probe attached the
-// instrumented components perform only a nil check per event site, which
-// disappears in the noise of a simulation cycle (see BenchmarkProbeOverhead
-// at the repository root).
+// Each instrumented unit (memory system, CPU, fetch engine) emits through
+// one embedded Port holding the attached probe and the set of kinds that
+// probe consumes (Kinds, declared through Filter). Every event site tests
+// its kind's bit, so the layer is pay-for-what-you-use: with no probe
+// attached, or a probe that ignores the kind, a site costs one bit test,
+// which disappears in the noise of a simulation cycle (see
+// BenchmarkProbeOverhead at the repository root). The same set decides how
+// the core may run: a probe consuming a per-cycle kind (PerCycleKinds)
+// needs every cycle ticked, so skip-ahead stays off; one consuming
+// KindRetire needs each retirement's exact cycle, so the CPU folds no
+// retirement into a stall span.
 package obs
-
-import "pipesim/internal/stats"
 
 // Kind enumerates the typed events emitted by the simulator.
 type Kind uint8
@@ -157,6 +162,16 @@ func (m Multi) Event(e Event) {
 	}
 }
 
+// Kinds is the union of the kinds the probes consume: each member receives
+// every kind in it and ignores those it does not consume.
+func (m Multi) Kinds() Kinds {
+	var k Kinds
+	for _, p := range m {
+		k |= Consumes(p)
+	}
+	return k
+}
+
 // Stamper fills in Event.Cycle from a shared clock before forwarding to the
 // target probe. The simulator core wraps every attached probe in one so
 // that emitting components do not need their own cycle counters.
@@ -170,6 +185,9 @@ func (s *Stamper) Event(e Event) {
 	e.Cycle = *s.Clock
 	s.Target.Event(e)
 }
+
+// Kinds is what the target consumes.
+func (s *Stamper) Kinds() Kinds { return Consumes(s.Target) }
 
 // LoopRange maps one Livermore loop to its PC range [Start, End) in the
 // program image. The simulator core watches the retirement stream and
@@ -193,11 +211,3 @@ func (c *Counter) Event(e Event) {
 		c.Counts[e.Kind]++
 	}
 }
-
-// CycleSum returns the number of KindCycle events attributed to the given
-// bucket across all recorded cycles — a convenience for invariant checks.
-func (c *Counter) CycleSum() uint64 { return c.Counts[KindCycle] }
-
-// Buckets re-exports the attribution bucket count for collectors that
-// aggregate per bucket without importing stats directly.
-const Buckets = int(stats.NumCycleBuckets)

@@ -49,8 +49,8 @@ func TestCounter(t *testing.T) {
 		c.Event(Event{Kind: KindCycle, Arg: uint32(stats.CycleIssue)})
 	}
 	c.Event(Event{Kind: KindCacheMiss})
-	if c.CycleSum() != 3 {
-		t.Errorf("CycleSum = %d, want 3", c.CycleSum())
+	if c.Counts[KindCycle] != 3 {
+		t.Errorf("cycle count = %d, want 3", c.Counts[KindCycle])
 	}
 	if c.Counts[KindCacheMiss] != 1 || c.Counts[KindCacheHit] != 0 {
 		t.Errorf("counts = %v", c.Counts)
@@ -281,5 +281,68 @@ func TestTimelineLoopSpans(t *testing.T) {
 	ldq := find(trace, "LDQ", "C")
 	if len(ldq) != 1 || ldq[0].Args["entries"] != float64(3) {
 		t.Errorf("LDQ samples = %+v, want one with entries=3", ldq)
+	}
+}
+
+// TestObserverKinds checks what each probe shape consumes: the set the
+// core reads to decide skip-ahead and retire folds.
+func TestObserverKinds(t *testing.T) {
+	retire := KindsOf(KindRetire)
+	cases := []struct {
+		name string
+		p    Probe
+		want Kinds
+	}{
+		{"nil", nil, 0},
+		{"func", ProbeFunc(func(Event) {}), AllKinds},
+		{"recorder", NewFlightRecorder(4), AllKinds},
+		{"only", Only(retire, &record{}), retire},
+		{"multi", Multi{Only(retire, &record{}), Only(KindsOf(KindCacheHit), &record{})}, KindsOf(KindRetire, KindCacheHit)},
+		{"multi-full", Multi{Only(retire, &record{}), &record{}}, AllKinds},
+		{"stamper", &Stamper{Target: Only(retire, &record{})}, retire},
+	}
+	for _, c := range cases {
+		if got := Consumes(c.p); got != c.want {
+			t.Errorf("%s: consumes %#x, want %#x", c.name, got, c.want)
+		}
+	}
+	if !PerCycleKinds.Has(KindCycle) || !PerCycleKinds.Has(KindQueueDepth) || PerCycleKinds.Has(KindRetire) {
+		t.Errorf("PerCycleKinds = %#x", PerCycleKinds)
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		if !AllKinds.Has(k) {
+			t.Errorf("AllKinds lacks %s", k)
+		}
+	}
+}
+
+// declares is a Filter that keeps every event it is handed, so a kind the
+// port should not have emitted shows.
+type declares struct {
+	record
+	kinds Kinds
+}
+
+func (d *declares) Kinds() Kinds { return d.kinds }
+
+// TestObserverPort checks a port emits exactly the kinds its probe
+// consumes, and nothing once detached.
+func TestObserverPort(t *testing.T) {
+	var port Port
+	rec := &declares{kinds: KindsOf(KindRetire, KindBusBusy)}
+	port.SetProbe(rec)
+	for k := Kind(0); k < numKinds; k++ {
+		if port.On(k) != (k == KindRetire || k == KindBusBusy) {
+			t.Errorf("On(%s) = %v", k, port.On(k))
+		}
+		port.Emit(Event{Kind: k})
+	}
+	if len(rec.events) != 2 || rec.events[0].Kind != KindBusBusy || rec.events[1].Kind != KindRetire {
+		t.Errorf("emitted %v, want bus-busy then retire", rec.events)
+	}
+	port.SetProbe(nil)
+	port.Emit(Event{Kind: KindRetire})
+	if len(rec.events) != 2 || port.Consumed() != 0 {
+		t.Error("a detached port still emits")
 	}
 }

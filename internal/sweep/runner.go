@@ -14,7 +14,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
@@ -524,12 +523,4 @@ func runIsolated(ctx context.Context, e Experiment, timeout time.Duration, injec
 	case <-timer.C:
 		return nil, &TimeoutError{ID: e.ID, Timeout: timeout}
 	}
-}
-
-// SortByID orders outcomes by experiment ID (RunAll already preserves
-// submission order; this is for callers that merge several sweeps).
-func SortByID(outcomes []Outcome) {
-	sort.Slice(outcomes, func(i, j int) bool {
-		return outcomes[i].Experiment.ID < outcomes[j].Experiment.ID
-	})
 }

@@ -105,22 +105,6 @@ func TestRunAllTimeout(t *testing.T) {
 	}
 }
 
-func TestSortByID(t *testing.T) {
-	out := []Outcome{
-		{Experiment: Experiment{ID: "fig5"}},
-		{Experiment: Experiment{ID: "fig4a"}},
-		{Experiment: Experiment{ID: "table1"}},
-	}
-	SortByID(out)
-	got := []string{out[0].Experiment.ID, out[1].Experiment.ID, out[2].Experiment.ID}
-	want := []string{"fig4a", "fig5", "table1"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRunAllProgress(t *testing.T) {
 	exps := []Experiment{
 		passing("a"),

@@ -15,11 +15,11 @@ import (
 	"pipesim/internal/isa"
 	"pipesim/internal/kernels"
 	"pipesim/internal/mem"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/runcache"
 	"pipesim/internal/stats"
 	"pipesim/internal/synth"
-	"pipesim/internal/trace"
 )
 
 // CacheSizes is the cache-size axis of the paper's figures.
@@ -682,13 +682,13 @@ func runPerLoop(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		entered := make([]uint64, len(starts))
-		sim.SetRetireTracer(recorderFunc(func(e trace.Event) {
+		sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), obs.ProbeFunc(func(e obs.Event) {
 			for i, pc := range starts {
-				if e.PC == pc && entered[i] == 0 {
+				if e.Addr == pc && entered[i] == 0 {
 					entered[i] = e.Cycle
 				}
 			}
-		}))
+		})))
 		st, err := sim.Run()
 		if err != nil {
 			return nil, err
@@ -745,11 +745,6 @@ func runSlots(ctx context.Context) (*Result, error) {
 	}
 	return res, nil
 }
-
-// recorderFunc adapts a function to the trace.Recorder interface.
-type recorderFunc func(trace.Event)
-
-func (f recorderFunc) Record(e trace.Event) { f(e) }
 
 // runIQSize sweeps the paper's last two simulation parameters — the IQ and
 // IQB sizes — beyond the four Table II points, at a fixed 16-byte line.

@@ -6,9 +6,9 @@ import (
 
 	"pipesim/internal/core"
 	"pipesim/internal/isa"
+	"pipesim/internal/obs"
 	"pipesim/internal/program"
 	"pipesim/internal/synth"
-	"pipesim/internal/trace"
 )
 
 func TestLoopSpecValidation(t *testing.T) {
@@ -73,17 +73,14 @@ func runWithTrace(t *testing.T, cfg core.Config, img *program.Image) ([]uint32, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := trace.NewRing(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetRetireTracer(ring)
+	ring := obs.NewFlightRecorder(1 << 16)
+	sim.SetProbe(obs.Only(obs.KindsOf(obs.KindRetire), ring))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var pcs []uint32
 	for _, e := range ring.Events() {
-		pcs = append(pcs, e.PC)
+		pcs = append(pcs, e.Addr)
 	}
 	// Probe a slice of the data region for memory equivalence.
 	base, _ := img.Lookup("data")

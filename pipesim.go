@@ -57,7 +57,6 @@ import (
 	"pipesim/internal/runcache"
 	"pipesim/internal/runstore"
 	"pipesim/internal/stats"
-	"pipesim/internal/trace"
 )
 
 // Strategy names an instruction-fetch strategy.
@@ -193,8 +192,9 @@ type Config struct {
 	// be pure counter arithmetic, so results are bit-identical either
 	// way (the differential suite asserts this across the full kernel
 	// catalog); the switch exists for A/B timing measurements and as a
-	// belt-and-braces escape hatch. Attaching a probe (Run*WithProbe)
-	// disables skip-ahead automatically, with or without this flag.
+	// belt-and-braces escape hatch. Attaching a probe
+	// (Simulation.Observe, CollectPerLoop) disables skip-ahead
+	// automatically, with or without this flag; TraceTo does not.
 	NoSkipAhead bool
 }
 
@@ -768,8 +768,10 @@ func (s *Simulation) Key() string { return s.key.String() }
 
 // Observe attaches a probe to the simulation's event stream. Call before
 // Run; multiple probes may be attached and each receives every event. The
-// no-probe fast path costs one nil check per event site, so an unobserved
-// simulation runs at full speed.
+// simulator emits only the kinds some attached probe consumes, at the
+// cost of one bit test per event site, so an unobserved simulation runs at
+// full speed. A Probe consumes every kind, so attaching one turns
+// skip-ahead off; TraceTo's writer consumes retirements only and keeps it.
 func (s *Simulation) Observe(p Probe) {
 	s.probes = append(s.probes, p)
 	s.inner.SetProbe(s.probes)
@@ -906,9 +908,11 @@ func WriteFlightTrace(w io.Writer, events []ProbeEvent) error {
 }
 
 // TraceTo streams every retired instruction (cycle, PC, disassembly) to w,
-// stopping after limit lines (0 = unlimited). Call before Run.
+// stopping after limit lines (0 = unlimited). Call before Run. The trace
+// is a probe consuming only retirements, so the run keeps skip-ahead but
+// folds no retirement.
 func (s *Simulation) TraceTo(w io.Writer, limit uint64) {
-	s.inner.SetRetireTracer(&trace.Writer{W: w, Limit: limit})
+	s.Observe(&core.TraceWriter{Img: s.inner.Image(), W: w, Limit: limit})
 }
 
 // ReadWord returns the final memory word at a 4-byte-aligned address.

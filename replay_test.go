@@ -7,13 +7,13 @@ import (
 	"testing"
 
 	"pipesim"
+	"pipesim/internal/core"
 	"pipesim/internal/obs"
-	"pipesim/internal/trace"
 )
 
 // tailDigest hashes a post-mortem: the flight-recorder events, then the
 // retirement tail, one canonical line per entry.
-func tailDigest(events []pipesim.ProbeEvent, retired []trace.Event) string {
+func tailDigest(events []pipesim.ProbeEvent, retired []core.Retired) string {
 	h := sha256.New()
 	for _, e := range events {
 		fmt.Fprintf(h, "%d %d %d %d %d\n", e.Kind, e.Cycle, e.Addr, e.Arg, e.Value)

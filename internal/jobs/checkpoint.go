@@ -7,14 +7,17 @@
 // only in the run store (internal/runstore), when one is installed. A
 // daemon that dies mid-job replays the file on restart and re-simulates
 // only the missing points. Appends are single-write plus fsync, so a
-// crash can at worst truncate the final record — which the reader detects
-// and discards rather than failing the whole recovery.
+// crash can at worst leave the final record without its newline — a torn
+// tail the reader discards rather than failing the whole recovery, and
+// that reopening for append cuts off before the next record lands.
 package jobs
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"sync"
@@ -68,10 +71,20 @@ type checkpoint struct {
 }
 
 // openCheckpoint opens (creating if needed) the checkpoint file for
-// appending.
+// appending. It first truncates the file to just after its last newline:
+// a torn tail left by a crash would otherwise merge with the next record
+// into one line the reader discards, losing a record that was complete.
 func openCheckpoint(path string) (*checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("jobs: opening checkpoint: %w", err)
+	}
+	data, err := io.ReadAll(f)
+	if keep := int64(bytes.LastIndexByte(data, '\n') + 1); err == nil && keep < int64(len(data)) {
+		err = f.Truncate(keep)
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("jobs: opening checkpoint: %w", err)
 	}
 	return &checkpoint{path: path, f: f}, nil
@@ -104,7 +117,9 @@ func (c *checkpoint) Close() error { return c.f.Close() }
 // checkpoint. A truncated or corrupt record — a crash mid-append — is
 // discarded with a logged warning instead of failing the whole recovery:
 // the worst case is re-simulating the one point whose record was lost.
-// Records missing their identity key are likewise dropped.
+// A tail without its newline is torn even when it parses, since
+// openCheckpoint cuts it off. Records missing their identity key are
+// likewise dropped.
 func readCheckpoint(path string, log *slog.Logger) ([]PointResult, error) {
 	if log == nil {
 		log = slog.Default()
@@ -124,7 +139,11 @@ func readCheckpoint(path string, log *slog.Logger) ([]PointResult, error) {
 			continue
 		}
 		var r PointResult
-		if err := json.Unmarshal(line, &r); err != nil {
+		err := json.Unmarshal(line, &r)
+		if err == nil && i == len(lines)-1 {
+			err = errors.New("no trailing newline")
+		}
+		if err != nil {
 			log.Warn("discarding corrupt checkpoint record (crash mid-write?)",
 				"path", path, "line", i+1, "err", err)
 			continue

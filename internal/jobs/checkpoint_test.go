@@ -2,9 +2,13 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,5 +140,105 @@ func TestReadCheckpointCorruptMiddle(t *testing.T) {
 	log := logBuf.String()
 	if !strings.Contains(log, "corrupt checkpoint record") || !strings.Contains(log, "without identity") {
 		t.Errorf("want warnings for both discarded lines, log was: %s", log)
+	}
+}
+
+// tearAppend simulates a crash partway through an append: it writes only
+// the first n bytes of r's checkpoint line.
+func tearAppend(t *testing.T, path string, r PointResult, n int) {
+	t.Helper()
+	line, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(line, '\n')[:n]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendAll opens the checkpoint at path, appends rs and closes it.
+func appendAll(t *testing.T, path string, rs ...PointResult) {
+	t.Helper()
+	ck, err := openCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if err := ck.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func points(t *testing.T, path string) []string {
+	t.Helper()
+	recs, err := readCheckpoint(path, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, r := range recs {
+		out = append(out, r.Point)
+	}
+	return out
+}
+
+// TestCheckpointAppendAfterTornTail: a record appended after a crash's
+// torn tail must survive. Reopening for append cuts the fragment off, so
+// the new record does not merge with it into one unreadable line.
+func TestCheckpointAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job.ckpt.jsonl")
+	a := PointResult{Point: "a/64", Key: strings.Repeat("11", 32), Cycles: 1, Valid: true, Seq: 1}
+	torn := PointResult{Point: "a/128", Key: strings.Repeat("22", 32), Cycles: 2, Valid: true, Seq: 2}
+	b := PointResult{Point: "a/256", Key: strings.Repeat("33", 32), Cycles: 3, Valid: true, Seq: 2}
+	appendAll(t, path, a)
+	tearAppend(t, path, torn, 20)
+	appendAll(t, path, b)
+	if got := points(t, path); !reflect.DeepEqual(got, []string{"a/64", "a/256"}) {
+		t.Fatalf("recovered points %v, want [a/64 a/256]", got)
+	}
+}
+
+// TestCheckpointTornTailEnumeration cuts the last append at every byte
+// offset of its line, then recovers, appends and recovers again. The torn
+// record counts only once its newline is down; every complete record
+// survives both recoveries, in order.
+func TestCheckpointTornTailEnumeration(t *testing.T) {
+	dir := t.TempDir()
+	recs := []PointResult{
+		{Point: "conv/64", Key: strings.Repeat("11", 32), Cycles: 1, Valid: true, Seq: 1},
+		{Point: "conv/128", Key: strings.Repeat("22", 32), Cycles: 2, Valid: true, Seq: 2,
+			Attr: &sweep.BucketTotals{Issue: 100, FetchStarved: 20}},
+	}
+	last := PointResult{Point: "exp:fig5a", Key: strings.Repeat("33", 32), Cycles: 3, Valid: true, Seq: 3}
+	next := PointResult{Point: "conv/256", Key: strings.Repeat("44", 32), Cycles: 4, Valid: true, Seq: 4}
+	line, err := json.Marshal(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= len(line)+1; n++ {
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.ckpt.jsonl", n))
+		appendAll(t, path, recs...)
+		tearAppend(t, path, last, n)
+		want := []string{"conv/64", "conv/128"}
+		if n == len(line)+1 {
+			want = append(want, last.Point)
+		}
+		if got := points(t, path); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: first recovery %v, want %v", n, got, want)
+		}
+		appendAll(t, path, next)
+		want = append(want, next.Point)
+		if got := points(t, path); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: recovery after an append %v, want %v", n, got, want)
+		}
 	}
 }

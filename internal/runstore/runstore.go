@@ -12,15 +12,16 @@
 // archive behind `pipesim diff` and pipesimd's /v1/runs + /v1/compare:
 // any two archived keys can be compared long after the runs happened.
 //
-// An index file (index.json) accelerates listing and carries per-entry
-// summaries, but it is advisory only: lookups always read the entry file
-// itself, and Open reconciles the index against a directory scan, so a
-// crash between an entry write and the index write — or another replica
-// writing into the same directory — loses nothing. Corrupt or truncated
-// entry files are treated as misses and removed, never trusted.
+// The record files are the store's only on-disk state. Open lists the
+// directory by name and reads no record; List reads a scanned record's
+// summary the first time it lists it; lookups always read the record file
+// itself, so another replica writing into the same directory loses
+// nothing. Corrupt or truncated record files are treated as misses and
+// removed, never trusted.
 package runstore
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -58,12 +59,13 @@ type Record struct {
 	PerLoop []obs.LoopStat `json:"per_loop,omitempty"`
 
 	// StoredUnix is the wall-clock time the record was written (seconds).
-	// It orders eviction (oldest first) and the /v1/runs listing.
+	// Eviction and the /v1/runs listing follow put order, and file
+	// modification time across a reopen.
 	StoredUnix int64 `json:"stored_unix"`
 }
 
-// Entry is one index row: the key plus the summary fields the listing
-// endpoints show without opening the record file.
+// Entry is one listed run: the key plus the summary fields the listing
+// endpoints show without opening the record file again.
 type Entry struct {
 	Key          string `json:"key"`
 	Bytes        int64  `json:"bytes"`
@@ -106,18 +108,10 @@ const (
 	DefaultMaxBytes   = 256 << 20
 )
 
-const indexName = "index.json"
-
-// indexFile is the on-disk index layout.
-type indexFile struct {
-	Schema  string  `json:"schema"`
-	Entries []Entry `json:"entries"`
-}
-
 // Store is an open archive directory. All methods are safe for concurrent
 // use; writes from multiple processes sharing the directory are safe at
-// the entry level (atomic rename), with each process maintaining its own
-// view of the index.
+// the entry level (atomic rename), with each process keeping its own view
+// of the entries.
 type Store struct {
 	dir        string
 	maxEntries int
@@ -130,27 +124,38 @@ type Store struct {
 	writeErrs atomic.Uint64
 
 	mu      sync.Mutex
-	entries []Entry        // oldest first (StoredUnix order, ties by scan order)
-	byKey   map[string]int // key -> index into entries
+	ll      *list.List // oldest first; values are *entry
+	byKey   map[string]*list.Element
 	bytes   int64
 	writing map[string]int // key -> puts writing its record file right now
 }
 
-// Open opens (creating if needed) the archive at dir and reconciles the
-// index against the directory contents: entries whose file vanished are
-// dropped, record files the index does not know (a crash before the index
-// write, or another replica's writes) are scanned back in, and anything
-// unreadable is ignored. Open never fails on corrupt store content — only
-// on an unusable directory.
+// entry is one archived run in the store's view. An entry Open found by
+// its name carries only Key and Bytes until List reads its summary.
+type entry struct {
+	Entry
+	summarized bool
+}
+
+// Open opens (creating if needed) the archive at dir. It scans the
+// directory by name only: every regular file named <key>.json becomes an
+// entry sized by the file, ordered oldest-first by modification time, and
+// no record is read. Open never fails on corrupt store content — only on
+// an unusable directory.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	s := &Store{
 		dir:        dir,
 		maxEntries: opt.MaxEntries,
 		maxBytes:   opt.MaxBytes,
-		byKey:      make(map[string]int),
+		ll:         list.New(),
+		byKey:      make(map[string]*list.Element),
 		writing:    make(map[string]int),
 	}
 	if s.maxEntries <= 0 {
@@ -159,66 +164,32 @@ func Open(dir string, opt Options) (*Store, error) {
 	if s.maxBytes <= 0 {
 		s.maxBytes = DefaultMaxBytes
 	}
-	if err := s.load(); err != nil {
-		return nil, err
+	type found struct {
+		e   *entry
+		mod time.Time
+	}
+	var files []found
+	for _, de := range des {
+		key, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok || !de.Type().IsRegular() {
+			continue
+		}
+		if _, err := runcache.ParseKey(key); err != nil {
+			continue // temp files, foreign content
+		}
+		if info, err := de.Info(); err == nil {
+			files = append(files, found{&entry{Entry: Entry{Key: key, Bytes: info.Size()}}, info.ModTime()})
+		}
+	}
+	sort.SliceStable(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
+	for _, f := range files {
+		s.byKey[f.e.Key] = s.ll.PushBack(f.e)
+		s.bytes += f.e.Bytes
 	}
 	s.mu.Lock()
 	s.gcLocked()
 	s.mu.Unlock()
 	return s, nil
-}
-
-// load builds the in-memory index: the index file where it agrees with the
-// directory, a record scan for everything else.
-func (s *Store) load() error {
-	known := make(map[string]Entry)
-	if raw, err := os.ReadFile(filepath.Join(s.dir, indexName)); err == nil {
-		var idx indexFile
-		if json.Unmarshal(raw, &idx) == nil && idx.Schema == Schema {
-			for _, e := range idx.Entries {
-				known[e.Key] = e
-			}
-		}
-	}
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	var entries []Entry
-	for _, de := range names {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") || name == indexName {
-			continue
-		}
-		key := strings.TrimSuffix(name, ".json")
-		if _, err := runcache.ParseKey(key); err != nil {
-			continue // temp files, foreign content
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		if e, ok := known[key]; ok && e.Bytes == info.Size() {
-			entries = append(entries, e)
-			continue
-		}
-		// Unknown (or resized) file: rebuild its index row from the record
-		// itself. Unreadable records are skipped — Get would reject them too.
-		rec, err := readRecord(s.entryPath(key))
-		if err != nil || rec.Key != key {
-			continue
-		}
-		entries = append(entries, entryFor(rec, info.Size()))
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].StoredUnix < entries[j].StoredUnix })
-	s.entries = entries
-	s.byKey = make(map[string]int, len(entries))
-	s.bytes = 0
-	for i, e := range entries {
-		s.byKey[e.Key] = i
-		s.bytes += e.Bytes
-	}
-	return nil
 }
 
 func entryFor(rec *Record, size int64) Entry {
@@ -235,9 +206,6 @@ func entryFor(rec *Record, size int64) Entry {
 		Instructions: rec.Sim.CPU.Instructions,
 	}
 }
-
-// Dir returns the archive directory.
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) entryPath(key string) string {
 	return filepath.Join(s.dir, key+".json")
@@ -264,23 +232,12 @@ func readRecord(path string) (*Record, error) {
 }
 
 // Get returns the archived record for key. It always reads the entry file
-// directly — never the index — so records written by other replicas into a
-// shared directory are found even before a re-Open. A corrupt or
-// truncated file is a miss; the bad file is removed so it cannot shadow a
-// future write. A record with a foreign schema is a miss too, but is left
-// on disk (it may belong to a newer replica).
+// directly, so records written by other replicas into a shared directory
+// are found even before a re-Open. A missing, corrupt or foreign-schema
+// record is a miss (see read).
 func (s *Store) Get(key runcache.Key) (*Record, bool) {
-	hex := key.String()
-	rec, err := readRecord(s.entryPath(hex))
+	rec, err := s.read(key.String())
 	if err != nil {
-		if !os.IsNotExist(err) && err != errBadSchema {
-			s.dropBad(hex)
-		}
-		s.misses.Add(1)
-		return nil, false
-	}
-	if rec.Key != hex {
-		s.dropBad(hex)
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -288,15 +245,27 @@ func (s *Store) Get(key runcache.Key) (*Record, bool) {
 	return rec, true
 }
 
-// dropBad removes a corrupt entry file and its index row.
-func (s *Store) dropBad(hexKey string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	os.Remove(s.entryPath(hexKey))
-	if i, ok := s.byKey[hexKey]; ok {
-		s.removeAtLocked(i)
-		s.writeIndexLocked()
+// read reads the record filed under hexKey. A corrupt or truncated file,
+// or one holding another key, is removed so it cannot shadow a future
+// write. A record with a foreign schema is left on disk (it may belong to
+// a newer replica).
+func (s *Store) read(hexKey string) (*Record, error) {
+	rec, err := readRecord(s.entryPath(hexKey))
+	if err == nil && rec.Key != hexKey {
+		err = fmt.Errorf("runstore: %s holds key %q", hexKey, rec.Key)
 	}
+	if err != nil {
+		if !os.IsNotExist(err) && err != errBadSchema {
+			s.mu.Lock()
+			os.Remove(s.entryPath(hexKey))
+			if el, ok := s.byKey[hexKey]; ok {
+				s.removeLocked(el)
+			}
+			s.mu.Unlock()
+		}
+		return nil, err
+	}
+	return rec, nil
 }
 
 // Put archives one cache-tier result (no per-loop data) under key.
@@ -310,10 +279,9 @@ func (s *Store) Put(key runcache.Key, cfg core.Config, st *stats.Sim) error {
 // PutRecord archives a complete record (rec.Key must be set; Schema and
 // StoredUnix are filled in). The record's write — temp file, fsync,
 // rename — runs outside the store mutex, so concurrent puts of distinct
-// keys overlap their disk I/O; only the in-memory entry update, garbage
-// collection and the index rewrite hold the lock. A crash between the
-// record write and the index write is healed by the next Open's directory
-// reconciliation. Storing an existing key replaces it.
+// keys overlap their disk I/O; only the in-memory entry update and garbage
+// collection hold the lock, and both take constant time per entry.
+// Storing an existing key replaces it.
 func (s *Store) PutRecord(rec *Record) error {
 	if _, err := runcache.ParseKey(rec.Key); err != nil {
 		s.writeErrs.Add(1)
@@ -344,14 +312,12 @@ func (s *Store) PutRecord(rec *Record) error {
 		return err
 	}
 	s.writes.Add(1)
-	if i, ok := s.byKey[rec.Key]; ok {
-		s.removeAtLocked(i)
+	if el, ok := s.byKey[rec.Key]; ok {
+		s.removeLocked(el)
 	}
-	s.byKey[rec.Key] = len(s.entries)
-	s.entries = append(s.entries, entryFor(rec, int64(len(raw))))
+	s.byKey[rec.Key] = s.ll.PushBack(&entry{Entry: entryFor(rec, int64(len(raw))), summarized: true})
 	s.bytes += int64(len(raw))
 	s.gcLocked()
-	s.writeIndexLocked()
 	return nil
 }
 
@@ -380,49 +346,59 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// removeAtLocked deletes entry i from the in-memory index (not the file).
-func (s *Store) removeAtLocked(i int) {
-	s.bytes -= s.entries[i].Bytes
-	delete(s.byKey, s.entries[i].Key)
-	s.entries = append(s.entries[:i], s.entries[i+1:]...)
-	for j := i; j < len(s.entries); j++ {
-		s.byKey[s.entries[j].Key] = j
-	}
+// removeLocked deletes one entry from the store's view (not its file).
+func (s *Store) removeLocked(el *list.Element) {
+	e := s.ll.Remove(el).(*entry)
+	s.bytes -= e.Bytes
+	delete(s.byKey, e.Key)
 }
 
 // gcLocked evicts oldest-first until both bounds hold.
 func (s *Store) gcLocked() {
-	for len(s.entries) > 0 && (len(s.entries) > s.maxEntries || s.bytes > s.maxBytes) {
-		victim := s.entries[0]
-		if s.writing[victim.Key] == 0 {
-			os.Remove(s.entryPath(victim.Key))
+	for s.ll.Len() > 0 && (s.ll.Len() > s.maxEntries || s.bytes > s.maxBytes) {
+		victim := s.ll.Front()
+		if key := victim.Value.(*entry).Key; s.writing[key] == 0 {
+			os.Remove(s.entryPath(key))
 		}
-		s.removeAtLocked(0)
+		s.removeLocked(victim)
 		s.evictions.Add(1)
 	}
 }
 
-// writeIndexLocked persists the advisory index (atomically; errors are
-// counted but otherwise ignored — the index is rebuilt from the directory
-// on the next Open).
-func (s *Store) writeIndexLocked() {
-	raw, err := json.Marshal(indexFile{Schema: Schema, Entries: s.entries})
-	if err != nil {
-		s.writeErrs.Add(1)
-		return
-	}
-	if err := s.writeAtomic(filepath.Join(s.dir, indexName), raw); err != nil {
-		s.writeErrs.Add(1)
-	}
-}
-
-// List returns the index rows, newest first.
+// List returns the archived runs, newest first. An entry Open found gets
+// its summary from its record file the first time it is listed, read
+// outside the mutex; one whose record does not read is left out of the
+// listing and dropped from the store's view (read removes a corrupt file).
 func (s *Store) List() []Entry {
 	s.mu.Lock()
+	var cold []*list.Element
+	var keys []string
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*entry); !e.summarized {
+			cold, keys = append(cold, el), append(keys, e.Key)
+		}
+	}
+	s.mu.Unlock()
+	recs := make([]*Record, len(keys))
+	for i, key := range keys {
+		recs[i], _ = s.read(key)
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, len(s.entries))
-	for i, e := range s.entries {
-		out[len(out)-1-i] = e
+	for i, el := range cold {
+		e := el.Value.(*entry)
+		if s.byKey[keys[i]] != el || e.summarized {
+			continue // replaced, evicted or summarized meanwhile
+		}
+		if recs[i] == nil {
+			s.removeLocked(el)
+			continue
+		}
+		e.Entry, e.summarized = entryFor(recs[i], e.Bytes), true
+	}
+	out := make([]Entry, 0, s.ll.Len())
+	for el := s.ll.Back(); el != nil; el = el.Prev() {
+		out = append(out, el.Value.(*entry).Entry)
 	}
 	return out
 }
@@ -431,7 +407,7 @@ func (s *Store) List() []Entry {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.ll.Len()
 }
 
 // Bytes returns the summed entry-file size.
@@ -444,7 +420,7 @@ func (s *Store) Bytes() int64 {
 // Counters snapshots the store's activity counters and occupancy.
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
-	entries, bytes := len(s.entries), s.bytes
+	entries, bytes := s.ll.Len(), s.bytes
 	s.mu.Unlock()
 	return Counters{
 		Hits:        s.hits.Load(),

@@ -3,7 +3,6 @@ package runstore
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -37,7 +36,7 @@ loop:   add  r2, r2, r1
 
 // simulate runs one real simulation and returns everything the archive
 // stores: the key, the configuration and the statistics.
-func simulate(t *testing.T, mutate func(*core.Config)) (runcache.Key, core.Config, *stats.Sim) {
+func simulate(t testing.TB, mutate func(*core.Config)) (runcache.Key, core.Config, *stats.Sim) {
 	t.Helper()
 	img := testImage(t)
 	cfg := core.DefaultConfig()
@@ -211,9 +210,8 @@ func TestCorruptTolerance(t *testing.T) {
 	}
 }
 
-// TestOpenReconciles: the index is advisory. A deleted index is rebuilt by
-// scanning; an index row whose file vanished is dropped; a record written
-// behind the index's back (crash, or another replica) is found.
+// TestOpenReconciles: Open's directory scan finds every record, and a
+// record whose file vanished is dropped.
 func TestOpenReconciles(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
@@ -226,20 +224,15 @@ func TestOpenReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the index entirely: everything must come back from the scan.
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
 	s2 := openStore(t, dir, Options{})
 	if s2.Len() != 2 {
 		t.Fatalf("scan-rebuilt Len = %d, want 2", s2.Len())
 	}
 	if _, ok := s2.Get(key1); !ok {
-		t.Error("key1 lost after index rebuild")
+		t.Error("key1 lost after reopen")
 	}
 
-	// Remove one entry file behind the index's back: the stale row is
-	// dropped at Open.
+	// Remove one entry file behind the store's back: it is gone at Open.
 	if err := os.Remove(s2.entryPath(key2.String())); err != nil {
 		t.Fatal(err)
 	}
@@ -401,5 +394,53 @@ func TestListNewestFirst(t *testing.T) {
 	}
 	if l[0].Cycles != st.Cycles || l[0].Strategy != cfg.Fetch.String() || l[0].CacheBytes != 256 {
 		t.Errorf("List[0] summary = %+v", l[0])
+	}
+}
+
+// TestConcurrentListAfterReopen: the first Lists of a reopened store read
+// the scanned records' summaries outside the mutex while puts replace some
+// of those records and add new ones (run under -race). Every key ends up
+// listed once, with its summary.
+func TestConcurrentListAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	_, cfg, st := simulate(t, nil)
+	key := func(i int) runcache.Key { return runcache.KeyFor(cfg, [32]byte{byte(i)}) }
+	const scanned, added = 16, 8
+	for i := range scanned {
+		if err := s.Put(key(i), cfg, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = openStore(t, dir, Options{})
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			s.List()
+		}()
+		go func() {
+			defer wg.Done()
+			for i := w; i < scanned+added; i += 4 {
+				if i%8 == 0 || i >= scanned {
+					if err := s.Put(key(i), cfg, st); err != nil {
+						t.Errorf("put %d: %v", i, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	l := s.List()
+	seen := make(map[string]bool)
+	for _, e := range l {
+		if seen[e.Key] || e.Cycles != st.Cycles {
+			t.Errorf("entry %+v listed twice or without its summary", e)
+		}
+		seen[e.Key] = true
+	}
+	if len(l) != scanned+added || s.Len() != len(l) {
+		t.Errorf("List has %d entries, Len %d, want %d", len(l), s.Len(), scanned+added)
 	}
 }

@@ -456,6 +456,6 @@ func randomSpanID() SpanID {
 
 func put64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(56-8*i)))
+		b[i] = byte(v >> uint(56-8*i))
 	}
 }

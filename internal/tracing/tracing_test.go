@@ -247,3 +247,18 @@ func TestNilTracerGet(t *testing.T) {
 		t.Error("nil tracer has nonzero length")
 	}
 }
+
+// TestRandomIDsDistinct: every byte of a drawn ID carries randomness, so
+// 10,000 span IDs and 10,000 trace IDs are all distinct.
+func TestRandomIDsDistinct(t *testing.T) {
+	const n = 10000
+	spans := make(map[SpanID]bool, n)
+	traces := make(map[TraceID]bool, n)
+	for range n {
+		spans[randomSpanID()] = true
+		traces[randomTraceID()] = true
+	}
+	if len(spans) != n || len(traces) != n {
+		t.Errorf("distinct IDs: %d span, %d trace; want %d of each", len(spans), len(traces), n)
+	}
+}
